@@ -203,7 +203,7 @@ def cmd_dump_relations(args) -> int:
         "alpha": list(sysm.alpha.parts),
         "beta": list(sysm.beta.parts),
         "tables": [A.to_lists() for A in sysm.tables],
-        "rows": [sorted(row) for row in sysm.rows],
+        "rows": [list(row) for row in sysm.rows],
         "provenance": sysm.provenance,
     }
     _emit(out, args.format)
@@ -228,7 +228,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.add_argument("--max-tables", type=int, default=DEFAULT_MAX_TABLES)
     p.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS)
-    p.add_argument("--threads", type=int, default=1)
 
 
 def _add_partition_flags(p: argparse.ArgumentParser) -> None:
@@ -297,9 +296,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.fn(args)
     except (VerificationError, AssertionError) as exc:

@@ -90,11 +90,6 @@ class Gf2Matrix:
     def transpose(self) -> "Gf2Matrix":
         return Gf2Matrix.from_columns(list(self.rows), self.ncols)
 
-    def stack(self, other: "Gf2Matrix") -> "Gf2Matrix":
-        if self.ncols != other.ncols:
-            raise InvalidParameter("column count mismatch in stack")
-        return Gf2Matrix(self.rows + other.rows, self.ncols)
-
     def apply(self, v: int) -> int:
         """Matrix times column vector (vector given as a bit int)."""
         acc = 0
@@ -108,11 +103,6 @@ class Gf2Matrix:
 
     def to_dense(self) -> List[List[int]]:
         return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]
-
-    def dumps(self) -> str:
-        return "\n".join(
-            "".join(str((r >> j) & 1) for j in range(self.ncols)) for r in self.rows
-        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -141,12 +131,6 @@ def mat_mul(A: Gf2Matrix, B: Gf2Matrix) -> Gf2Matrix:
             a ^= low
         out.append(acc)
     return Gf2Matrix(out, B.ncols)
-
-
-def mat_add(A: Gf2Matrix, B: Gf2Matrix) -> Gf2Matrix:
-    if A.ncols != B.ncols or A.nrows != B.nrows:
-        raise InvalidParameter("shape mismatch in mat_add")
-    return Gf2Matrix([x ^ y for x, y in zip(A.rows, B.rows)], A.ncols)
 
 
 class Echelon:

@@ -2,14 +2,18 @@
 
 Row/column indices in the public functions here are 1-based, matching the
 conventions used for serialized matrices.  Sequence access on Composition and
-TabMatrix is plain 0-based Python indexing.
+TabMatrix is plain 0-based Python indexing.  The enumeration core works on
+plain tables, tuples of row tuples; TabMatrix wraps them where tables are
+handed out.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import CapExceeded, DegreeMismatch, InvalidParameter
+from .errors import CapExceeded, DegreeMismatch, InvalidParameter, VerificationError
+
+Table = Tuple[Tuple[int, ...], ...]
 
 
 class Composition:
@@ -115,9 +119,9 @@ def parse_parts(text: str) -> Tuple[int, ...]:
 
 
 class TabMatrix:
-    """A nonnegative integer matrix with recorded row and column margins."""
+    """A nonnegative integer matrix; its margins are computed on demand."""
 
-    __slots__ = ("entries", "row_margins", "col_margins")
+    __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[Iterable[int]]):
         rows = tuple(tuple(int(v) for v in row) for row in entries)
@@ -130,11 +134,14 @@ class TabMatrix:
                     if v < 0:
                         raise InvalidParameter(f"negative entry in {rows}")
         self.entries = rows
-        self.row_margins = Composition(sum(row) for row in rows)
-        ncols = len(rows[0]) if rows else 0
-        self.col_margins = Composition(
-            sum(row[j] for row in rows) for j in range(ncols)
-        )
+
+    @property
+    def row_margins(self) -> Composition:
+        return Composition(sum(row) for row in self.entries)
+
+    @property
+    def col_margins(self) -> Composition:
+        return Composition(map(sum, zip(*self.entries)))
 
     @property
     def nrows(self) -> int:
@@ -178,6 +185,67 @@ class TabMatrix:
         return f"TabMatrix({[list(r) for r in self.entries]})"
 
 
+def _row_fillings(n: int, caps: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """All rows v with sum n and 0 <= v[j] <= caps[j], in ascending lex order.
+
+    Needs n <= sum(caps); the lower bound on each entry leaves the later
+    entries room for the rest, so no branch is a dead end.
+    """
+    if len(caps) <= 1:
+        return [(n,)] if caps else [()]
+    room = sum(caps) - caps[0]
+    return [
+        (v,) + tail
+        for v in range(max(0, n - room), min(n, caps[0]) + 1)
+        for tail in _row_fillings(n - v, caps[1:])
+    ]
+
+
+def table_tuples(
+    alpha: Sequence[int], beta: Sequence[int], max_tables: Optional[int] = None
+) -> List[Table]:
+    """Tab(alpha, beta) as tuples of row tuples, in ascending row-major order.
+
+    Raises CapExceeded once more than max_tables tables are found.
+    """
+    if sum(alpha) != sum(beta):
+        raise DegreeMismatch(f"deg{tuple(alpha)} != deg{tuple(beta)}")
+    out: List[Table] = []
+    last = len(alpha) - 1
+    # (row sum, column room) -> [(row, column room left)]; the same states
+    # recur across the tree
+    memo: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[Tuple[int, ...], ...]]] = {}
+
+    def emit(tables: List[Table]) -> None:
+        out.extend(tables)
+        if max_tables is not None and len(out) > max_tables:
+            raise CapExceeded(
+                f"more than {max_tables} tables for {tuple(alpha)}/{tuple(beta)}"
+            )
+
+    def fill(i: int, col_rem: Tuple[int, ...], prefix: Table) -> None:
+        key = (alpha[i], col_rem)
+        choices = memo.get(key)
+        if choices is None:
+            choices = memo[key] = [
+                (row, tuple([c - v for c, v in zip(col_rem, row)]))
+                for row in _row_fillings(alpha[i], col_rem)
+            ]
+        if i + 1 < last:
+            for row, rem in choices:
+                fill(i + 1, rem, prefix + (row,))
+        else:
+            # margins of equal sum always admit a nonnegative table, so the
+            # last row is forced to be what the columns still need
+            emit([prefix + pair for pair in choices])
+
+    if last < 1:
+        emit([(tuple(beta),) if alpha else ()])
+    else:
+        fill(0, tuple(beta), ())
+    return out
+
+
 def enumerate_tables(
     alpha: Composition,
     beta: Composition,
@@ -188,55 +256,7 @@ def enumerate_tables(
     Output is in ascending lexicographic order of the row-major entry
     sequence; this is the canonical column order for relation systems.
     """
-    if alpha.degree != beta.degree:
-        raise DegreeMismatch(f"deg{alpha.parts} != deg{beta.parts}")
-    nr, nc = alpha.width, beta.width
-    out: List[TabMatrix] = []
-    rows: List[Tuple[int, ...]] = []
-    col_rem = list(beta.parts)
-
-    def fill_row(i: int) -> None:
-        if i == nr:
-            if all(c == 0 for c in col_rem):
-                out.append(TabMatrix(rows))
-                if max_tables is not None and len(out) > max_tables:
-                    raise CapExceeded(
-                        f"more than {max_tables} tables for {alpha.parts}/{beta.parts}"
-                    )
-            return
-        target = alpha[i]
-        # remaining rows must be able to absorb what this row leaves behind
-        row = [0] * nc
-
-        def place(j: int, left: int) -> None:
-            if j == nc - 1:
-                if left <= col_rem[j]:
-                    row[j] = left
-                    col_rem[j] -= left
-                    rows.append(tuple(row))
-                    fill_row(i + 1)
-                    rows.pop()
-                    col_rem[j] += left
-                    row[j] = 0
-                return
-            hi = min(left, col_rem[j])
-            for v in range(hi + 1):
-                row[j] = v
-                col_rem[j] -= v
-                place(j + 1, left - v)
-                col_rem[j] += v
-            row[j] = 0
-
-        if nc == 0:
-            if target == 0:
-                rows.append(())
-                fill_row(i + 1)
-                rows.pop()
-            return
-        place(0, target)
-
-    fill_row(0)
-    return out
+    return [TabMatrix(t) for t in table_tuples(alpha.parts, beta.parts, max_tables)]
 
 
 def unit_exchange(A: TabMatrix, axis: str, i: int, j: int, k: int, l: int) -> TabMatrix:
@@ -308,12 +328,17 @@ def staircase_family(a: int, m: int, b: int) -> StaircaseFamily:
     stair = tuple(range(m - 1, 1, -1))
     lam = Partition((a,) + stair + (1,) * b)
     lam_t = transpose(lam)
-    assert lam_t.parts == (a_p,) + stair + (1,) * b_p
+    if lam_t.parts != (a_p,) + stair + (1,) * b_p:
+        raise VerificationError(
+            f"transpose {lam_t.parts} of {lam.parts} is not a staircase hook"
+        )
     alpha = Composition((a_p,) + stair + (b_p,))
     beta = Composition((a,) + stair + (b,))
-    fam = StaircaseFamily(a, m, b, a_p, b_p, lam, lam_t, alpha, beta, lam.degree)
-    assert fam.alpha.degree == fam.beta.degree == fam.r
-    return fam
+    if not alpha.degree == beta.degree == lam.degree:
+        raise VerificationError(
+            f"flat margins {alpha.parts}/{beta.parts} miss degree {lam.degree}"
+        )
+    return StaircaseFamily(a, m, b, a_p, b_p, lam, lam_t, alpha, beta, lam.degree)
 
 
 def staircase_families(max_r: int):

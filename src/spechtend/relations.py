@@ -2,121 +2,102 @@
 
 The unknowns are coefficients h[A], one per A in Tab(alpha, beta); a
 homomorphism sum(h[A] rho[A]) is annihilated by the boundary maps exactly
-when the R and C rows built here vanish.  Rows are sets of tables with odd
-coefficient.
+when the R and C rows built here vanish.  Inside the engine a table is a
+tuple of row tuples.  A row of a RelationSystem is the sorted tuple of the
+column indices (positions in `tables`) whose coefficient is odd.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .errors import CapExceeded, InvalidParameter
+from .errors import InvalidParameter
 from .gf2 import Echelon
 from .limits import DEFAULT_MAX_TABLES
 from .partitions import (
     Composition,
     Partition,
     TabMatrix,
+    Table,
     enumerate_tables,
+    table_tuples,
     transpose,
     unit_exchange,
 )
 
-Row = FrozenSet[TabMatrix]
+# A built row: the tables with odd coefficient, and the table it was built from.
+BuiltRow = Tuple[Tuple[Table, ...], Table]
+
+
+def _transpose(A: Table) -> Table:
+    return tuple(zip(*A))
+
+
+def _exchange_rows(
+    alpha: Tuple[int, ...],
+    beta: Tuple[int, ...],
+    i: int,
+    j: int,
+    max_tables: Optional[int],
+) -> List[BuiltRow]:
+    """One row per B in Tab(alpha^(i,j,1), beta): {B - E_il + E_jl : b_il odd}.
+
+    Rows with no odd entry are dropped; i < j are 1-based.
+    """
+    if not (1 <= i < j <= len(alpha)):
+        raise InvalidParameter(f"bad (i,j)=({i},{j}) for width {len(alpha)}")
+    if alpha[j - 1] == 0:
+        return []
+    i, j = i - 1, j - 1
+    shifted = list(alpha)
+    shifted[i] += 1
+    shifted[j] -= 1
+    out: List[BuiltRow] = []
+    for B in table_tuples(shifted, beta, max_tables):
+        bi, bj = B[i], B[j]
+        targets = tuple(
+            B[:i] + (bi[:l] + (v - 1,) + bi[l + 1:],)
+            + B[i + 1:j] + (bj[:l] + (bj[l] + 1,) + bj[l + 1:],) + B[j + 1:]
+            for l, v in enumerate(bi)
+            if v & 1
+        )
+        if targets:
+            out.append((targets, B))
+    return out
 
 
 def build_R_rows(
-    alpha: Composition, beta: Composition, i: int, j: int
-) -> List[Tuple[Row, str]]:
+    alpha: Composition,
+    beta: Composition,
+    i: int,
+    j: int,
+    max_tables: Optional[int] = None,
+) -> List[BuiltRow]:
     """Rows forcing h . phi-bar^(i,j,1) = 0, one per B in Tab(alpha^(i,j,1), beta).
 
-    The row for B is {B - E_il + E_jl : b_il odd}; the same set equals the
-    per-(A,k) corollary relations without multiplicity.
+    The row for B is {B - E_il + E_jl : b_il odd}, returned with B; the same
+    set equals the per-(A,k) corollary relations without multiplicity.
     """
-    if not (1 <= i < j <= alpha.width):
-        raise InvalidParameter(f"bad (i,j)=({i},{j}) for width {alpha.width}")
-    if alpha[j - 1] == 0:
-        return []
-    shifted = alpha.shifted(i, j, 1)
-    out: List[Tuple[Row, str]] = []
-    for B in enumerate_tables(shifted, beta):
-        targets = frozenset(
-            B.add_units([(i, l, -1), (j, l, 1)])
-            for l in range(1, beta.width + 1)
-            if B.entry(i, l) % 2 == 1
-        )
-        if targets:
-            out.append((targets, f"R({i},{j}) B={B.to_lists()}"))
-    return out
+    return _exchange_rows(alpha.parts, beta.parts, i, j, max_tables)
 
 
 def build_C_rows(
-    alpha: Composition, beta: Composition, i: int, j: int
-) -> List[Tuple[Row, str]]:
+    alpha: Composition,
+    beta: Composition,
+    i: int,
+    j: int,
+    max_tables: Optional[int] = None,
+) -> List[BuiltRow]:
     """Rows forcing psi-bar^(i,j,1) . h = 0, one per D in Tab(alpha, beta^(i,j,1)).
 
-    The row for D is {D - E_ki + E_kj : d_ki odd}.
+    The row for D is {D - E_ki + E_kj : d_ki odd}, returned with D, in
+    ascending order of D: the R rows of (beta, alpha), transposed.
     """
-    if not (1 <= i < j <= beta.width):
-        raise InvalidParameter(f"bad (i,j)=({i},{j}) for width {beta.width}")
-    if beta[j - 1] == 0:
-        return []
-    shifted = beta.shifted(i, j, 1)
-    out: List[Tuple[Row, str]] = []
-    for D in enumerate_tables(alpha, shifted):
-        targets = frozenset(
-            D.add_units([(k, i, -1), (k, j, 1)])
-            for k in range(1, alpha.width + 1)
-            if D.entry(k, i) % 2 == 1
-        )
-        if targets:
-            out.append((targets, f"C({i},{j}) D={D.to_lists()}"))
-    return out
-
-
-def corollary_R_rows(
-    tables: Sequence[TabMatrix], i: int, j: int
-) -> Set[Row]:
-    """The per-(A,k) form of the R relations, for cross-checking.
-
-    For a_jk != 0: (a_ik+1) h[A] = sum over l != k of a_il h[A'] where A' is
-    the row exchange moving a unit from columns l to k between rows i and j.
-    """
-    rows: Set[Row] = set()
-    for A in tables:
-        for k in range(1, A.ncols + 1):
-            if A.entry(j, k) == 0:
-                continue
-            acc: Set[TabMatrix] = set()
-            if (A.entry(i, k) + 1) % 2 == 1:
-                acc.add(A)
-            for l in range(1, A.ncols + 1):
-                if l == k or A.entry(i, l) % 2 == 0:
-                    continue
-                acc.symmetric_difference_update({unit_exchange(A, "row", i, j, k, l)})
-            if acc:
-                rows.add(frozenset(acc))
-    return rows
-
-
-def corollary_C_rows(
-    tables: Sequence[TabMatrix], i: int, j: int
-) -> Set[Row]:
-    """The per-(A,k) form of the C relations, for cross-checking."""
-    rows: Set[Row] = set()
-    for A in tables:
-        for k in range(1, A.nrows + 1):
-            if A.entry(k, j) == 0:
-                continue
-            acc: Set[TabMatrix] = set()
-            if (A.entry(k, i) + 1) % 2 == 1:
-                acc.add(A)
-            for l in range(1, A.nrows + 1):
-                if l == k or A.entry(l, i) % 2 == 0:
-                    continue
-                acc.symmetric_difference_update({unit_exchange(A, "col", i, j, k, l)})
-            if acc:
-                rows.add(frozenset(acc))
+    rows = [
+        (tuple(map(_transpose, targets)), _transpose(B))
+        for targets, B in _exchange_rows(beta.parts, alpha.parts, i, j, max_tables)
+    ]
+    rows.sort(key=lambda row: row[1])
     return rows
 
 
@@ -126,20 +107,17 @@ class RelationSystem:
     beta: Composition
     tables: List[TabMatrix]
     index: Dict[TabMatrix, int]
-    rows: List[FrozenSet[int]]
+    rows: List[Tuple[int, ...]]
     provenance: List[str]
 
-    def row_ints(self) -> List[int]:
-        out = []
-        for row in self.rows:
-            acc = 0
-            for c in row:
-                acc |= 1 << c
-            out.append(acc)
-        return out
+    def row_ints(self) -> Iterator[int]:
+        """Each row as a bit int, made on demand: at 10^5 rows over 10^4
+        columns the ints together take far more memory than the tuples."""
+        return (sum(1 << c for c in row) for row in self.rows)
 
-    def to_index_row(self, row: Row) -> FrozenSet[int]:
-        return frozenset(self.index[A] for A in row)
+
+def _lists(A: Table) -> List[List[int]]:
+    return [list(row) for row in A]
 
 
 def relation_system(
@@ -147,21 +125,38 @@ def relation_system(
     beta: Composition,
     max_tables: int = DEFAULT_MAX_TABLES,
 ) -> RelationSystem:
-    """All R and C rows over Tab(alpha, beta) for every admissible i < j."""
+    """All R and C rows over Tab(alpha, beta) for every admissible i < j.
+
+    The C rows are the R rows of (beta, alpha) with every table transposed,
+    so they are built that way and their tables are looked up by transposed
+    entries.  Each distinct row keeps the provenance of its first
+    occurrence: R blocks before C blocks, (i, j) ascending and, within a
+    block, the source table ascending.  max_tables also caps the shifted
+    enumerations behind every block.
+    """
     tables = enumerate_tables(alpha, beta, max_tables=max_tables)
-    index = {A: c for c, A in enumerate(tables)}
-    seen: Dict[FrozenSet[int], str] = {}
+    col = {A.entries: c for c, A in enumerate(tables)}
+    col_t = {_transpose(T): c for T, c in col.items()}
+    seen: Dict[Tuple[int, ...], str] = {}
     for i in range(1, alpha.width + 1):
         for j in range(i + 1, alpha.width + 1):
-            for row, prov in build_R_rows(alpha, beta, i, j):
-                key = frozenset(index[A] for A in row)
-                seen.setdefault(key, prov)
+            for targets, B in build_R_rows(alpha, beta, i, j, max_tables):
+                key = tuple(sorted([col[T] for T in targets]))
+                if key not in seen:
+                    seen[key] = f"R({i},{j}) B={_lists(B)}"
     for i in range(1, beta.width + 1):
         for j in range(i + 1, beta.width + 1):
-            for row, prov in build_C_rows(alpha, beta, i, j):
-                key = frozenset(index[A] for A in row)
-                seen.setdefault(key, prov)
-    rows = sorted(seen, key=lambda s: sorted(s))
+            block = [
+                (_transpose(B), targets)
+                for targets, B in build_R_rows(beta, alpha, i, j, max_tables)
+            ]
+            block.sort(key=lambda row: row[0])
+            for D, targets in block:
+                key = tuple(sorted([col_t[T] for T in targets]))
+                if key not in seen:
+                    seen[key] = f"C({i},{j}) D={_lists(D)}"
+    rows = sorted(seen)
+    index = {A: c for c, A in enumerate(tables)}
     return RelationSystem(
         alpha, beta, tables, index, rows, [seen[r] for r in rows]
     )
@@ -210,15 +205,7 @@ def z_coefficient(A: TabMatrix, j: int, k: int) -> int:
     return (s + j + k) % 2
 
 
-def z_coefficient_complement(A: TabMatrix, j: int, k: int) -> int:
-    """Equivalent form using the complementary sums and the margins."""
-    s = sum(A.entry(i, k) for i in range(j + 1, A.nrows + 1)) + sum(
-        A.entry(j, l) for l in range(k + 1, A.ncols + 1)
-    )
-    return (s + A.row_margins[j - 1] + A.col_margins[k - 1] + j + k) % 2
-
-
-def build_Z_row(A: TabMatrix, j: int, k: int) -> Row:
+def build_Z_row(A: TabMatrix, j: int, k: int) -> FrozenSet[TabMatrix]:
     """The critical relation at (j, k), as a set of odd-coefficient tables.
 
     z_jk(A) h[A] = sum_{i<j, l>k} a_il h[exch] + sum_{i>j, l<k} a_il h[exch];

@@ -8,10 +8,9 @@ the structural classifiers on flat tables, and verifies the parity theorem.
 """
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import CapExceeded, InvalidParameter, ParityError, VerificationError
 from .gf2 import Gf2Matrix
@@ -27,23 +26,33 @@ from .relations import RelationSystem, RelevanceResult, relation_system, solve_r
 from .tabloids import rho_matrix, tabloid_dim
 
 
+def _arrangements(counts: List[int]) -> Iterator[Tuple[int, ...]]:
+    """Distinct orderings of the multiset with counts[j] copies of j, in lex order."""
+    if not any(counts):
+        yield ()
+        return
+    for j, c in enumerate(counts):
+        if c:
+            counts[j] -= 1
+            for rest in _arrangements(counts):
+                yield (j,) + rest
+            counts[j] += 1
+
+
 def _distribute_rows(head: Sequence[Tuple[int, ...]], tail_counts: Sequence[int],
                      nrows: int) -> List[Tuple[Tuple[int, ...], ...]]:
     """All ways to append `nrows` unit rows whose column sums are tail_counts."""
     ncols = len(tail_counts)
-    slots = []
-    for j, c in enumerate(tail_counts):
-        slots.extend([j] * c)
-    assert len(slots) == nrows
-    out = []
-    for arrangement in sorted(set(itertools.permutations(slots))):
-        rows = list(head)
-        for j in arrangement:
-            unit = [0] * ncols
-            unit[j] = 1
-            rows.append(tuple(unit))
-        out.append(tuple(rows))
-    return out
+    if sum(tail_counts) != nrows:
+        raise VerificationError(
+            f"column sums {tuple(tail_counts)} do not fill {nrows} unit rows"
+        )
+    units = [tuple(int(j == k) for k in range(ncols)) for j in range(ncols)]
+    head = tuple(head)
+    return [
+        head + tuple(units[j] for j in arrangement)
+        for arrangement in _arrangements(list(tail_counts))
+    ]
 
 
 def pi_expand(B: TabMatrix, family: StaircaseFamily) -> List[TabMatrix]:
@@ -241,7 +250,10 @@ def theorem_matrix(family: StaircaseFamily) -> TabMatrix:
     entries[0][m - 1] = family.b
     entries[m - 1][0] = family.a - family.m + 1
     A0 = TabMatrix(entries)
-    assert A0.row_margins == family.alpha and A0.col_margins == family.beta
+    if A0.row_margins != family.alpha or A0.col_margins != family.beta:
+        raise VerificationError(
+            f"A0 = {A0} misses the margins of ({family.a},{family.m},{family.b})"
+        )
     return A0
 
 

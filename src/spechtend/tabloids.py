@@ -12,7 +12,7 @@ import math
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import CapExceeded, InvalidParameter
+from .errors import CapExceeded, InvalidParameter, VerificationError
 from .gf2 import Echelon, Gf2Matrix, Gf2Vector, TaggedEchelon, mat_mul
 from .limits import DEFAULT_MAX_BITS
 from .partitions import Composition, Partition, TabMatrix, enumerate_tables
@@ -36,7 +36,11 @@ class TabloidBasis:
         self.r = alpha.degree
         self.elements: Tuple[Tabloid, ...] = tuple(_enumerate(alpha.parts))
         self.index: Dict[Tabloid, int] = {x: i for i, x in enumerate(self.elements)}
-        assert len(self.elements) == tabloid_dim(alpha)
+        if len(self.elements) != tabloid_dim(alpha):
+            raise VerificationError(
+                f"{len(self.elements)} tabloids for {alpha.parts}, "
+                f"expected {tabloid_dim(alpha)}"
+            )
 
     @property
     def dim(self) -> int:
@@ -44,9 +48,6 @@ class TabloidBasis:
 
     def rank(self, x: Tabloid) -> int:
         return self.index[x]
-
-    def unrank(self, i: int) -> Tabloid:
-        return self.elements[i]
 
 
 def _enumerate(parts: Tuple[int, ...]) -> Iterable[Tabloid]:
@@ -126,17 +127,14 @@ def rho_matrix(A: TabMatrix, max_bits: int = DEFAULT_MAX_BITS) -> Gf2Matrix:
         raise CapExceeded(
             f"rho matrix {cod.dim}x{dom.dim} exceeds the bit budget"
         )
-    nc = A.ncols
     cod_rank = cod.index
     cols = []
     for x in dom.elements:
         acc = 0
         row_choices = [_row_splits(x[i], A.entries[i]) for i in range(A.nrows)]
         for choice in itertools.product(*row_choices):
-            y = tuple(
-                tuple(sorted(itertools.chain(*(choice[i][j] for i in range(A.nrows)))))
-                for j in range(nc)
-            )
+            # zip(*choice) yields, per output block j, the pieces i -> j
+            y = tuple(tuple(sorted(itertools.chain(*pieces))) for pieces in zip(*choice))
             acc ^= 1 << cod_rank[y]
         cols.append(acc)
     return Gf2Matrix.from_columns(cols, cod.dim)
@@ -293,13 +291,13 @@ def hom_solution_space(
     from .partitions import transpose
 
     lam_t = transpose(lam)
-    tables = enumerate_tables(
-        Composition(lam_t.parts), Composition(lam.parts)
-    )
     d_lam = tabloid_dim(lam)
     d_lamt = tabloid_dim(lam_t)
     if d_lam * d_lamt > max_bits:
         raise CapExceeded("rho materialization exceeds the bit budget")
+    tables = enumerate_tables(
+        Composition(lam_t.parts), Composition(lam.parts)
+    )
 
     if adjacent:
         phi_idx = [

@@ -113,3 +113,185 @@ def rho_column_reference(
         if ok:
             acc ^= 1 << idx
     return acc
+
+
+# The seed's relations engine, kept as the differential reference for the
+# tuple-table builder in spechtend.relations: tables are enumerated one
+# TabMatrix at a time, every move allocates a new TabMatrix, and rows are
+# frozensets of tables.
+
+def enumerate_tables_reference(alpha, beta):
+    """Tab(alpha, beta) by recursive placement, in ascending row-major order."""
+    from spechtend.partitions import TabMatrix
+
+    nr, nc = len(alpha), len(beta)
+    out = []
+    rows: List[Tuple[int, ...]] = []
+    col_rem = list(beta)
+
+    def fill_row(i: int) -> None:
+        if i == nr:
+            if all(c == 0 for c in col_rem):
+                out.append(TabMatrix(rows))
+            return
+        row = [0] * nc
+
+        def place(j: int, left: int) -> None:
+            if j == nc - 1:
+                if left <= col_rem[j]:
+                    row[j] = left
+                    col_rem[j] -= left
+                    rows.append(tuple(row))
+                    fill_row(i + 1)
+                    rows.pop()
+                    col_rem[j] += left
+                    row[j] = 0
+                return
+            for v in range(min(left, col_rem[j]) + 1):
+                row[j] = v
+                col_rem[j] -= v
+                place(j + 1, left - v)
+                col_rem[j] += v
+            row[j] = 0
+
+        if nc == 0:
+            if alpha[i] == 0:
+                rows.append(())
+                fill_row(i + 1)
+                rows.pop()
+            return
+        place(0, alpha[i])
+
+    fill_row(0)
+    return out
+
+
+def _shifted(parts, i, j):
+    new = list(parts)
+    new[i - 1] += 1
+    new[j - 1] -= 1
+    return new
+
+
+def reference_R_rows(alpha, beta, i, j):
+    """[(frozenset of TabMatrix, provenance)] for R(i,j), as the seed built them."""
+    if alpha[j - 1] == 0:
+        return []
+    out = []
+    for B in enumerate_tables_reference(_shifted(alpha, i, j), beta):
+        targets = frozenset(
+            B.add_units([(i, l, -1), (j, l, 1)])
+            for l in range(1, len(beta) + 1)
+            if B.entry(i, l) % 2 == 1
+        )
+        if targets:
+            out.append((targets, f"R({i},{j}) B={B.to_lists()}"))
+    return out
+
+
+def reference_C_rows(alpha, beta, i, j):
+    """[(frozenset of TabMatrix, provenance)] for C(i,j), as the seed built them."""
+    if beta[j - 1] == 0:
+        return []
+    out = []
+    for D in enumerate_tables_reference(alpha, _shifted(beta, i, j)):
+        targets = frozenset(
+            D.add_units([(k, i, -1), (k, j, 1)])
+            for k in range(1, len(alpha) + 1)
+            if D.entry(k, i) % 2 == 1
+        )
+        if targets:
+            out.append((targets, f"C({i},{j}) D={D.to_lists()}"))
+    return out
+
+
+def reference_relation_system(alpha, beta):
+    """(tables, rows, provenance) of the seed's relation_system.
+
+    Rows are sorted lists of column indices, in ascending order; each keeps
+    the provenance of its first occurrence.
+    """
+    tables = enumerate_tables_reference(alpha, beta)
+    index = {A: c for c, A in enumerate(tables)}
+    seen = {}
+    for i in range(1, len(alpha) + 1):
+        for j in range(i + 1, len(alpha) + 1):
+            for row, prov in reference_R_rows(alpha, beta, i, j):
+                seen.setdefault(frozenset(index[A] for A in row), prov)
+    for i in range(1, len(beta) + 1):
+        for j in range(i + 1, len(beta) + 1):
+            for row, prov in reference_C_rows(alpha, beta, i, j):
+                seen.setdefault(frozenset(index[A] for A in row), prov)
+    rows = sorted(seen, key=lambda s: sorted(s))
+    return tables, [sorted(r) for r in rows], [seen[r] for r in rows]
+
+
+def corollary_R_rows(tables, i, j):
+    """The per-(A,k) form of the R relations, as sets of TabMatrix.
+
+    For a_jk != 0: (a_ik+1) h[A] = sum over l != k of a_il h[A'] where A' is
+    the row exchange moving a unit from columns l to k between rows i and j.
+    """
+    from spechtend.partitions import unit_exchange
+
+    rows = set()
+    for A in tables:
+        for k in range(1, A.ncols + 1):
+            if A.entry(j, k) == 0:
+                continue
+            acc = set()
+            if (A.entry(i, k) + 1) % 2 == 1:
+                acc.add(A)
+            for l in range(1, A.ncols + 1):
+                if l == k or A.entry(i, l) % 2 == 0:
+                    continue
+                acc.symmetric_difference_update({unit_exchange(A, "row", i, j, k, l)})
+            if acc:
+                rows.add(frozenset(acc))
+    return rows
+
+
+def corollary_C_rows(tables, i, j):
+    """The per-(A,k) form of the C relations, as sets of TabMatrix."""
+    from spechtend.partitions import unit_exchange
+
+    rows = set()
+    for A in tables:
+        for k in range(1, A.nrows + 1):
+            if A.entry(k, j) == 0:
+                continue
+            acc = set()
+            if (A.entry(k, i) + 1) % 2 == 1:
+                acc.add(A)
+            for l in range(1, A.nrows + 1):
+                if l == k or A.entry(l, i) % 2 == 0:
+                    continue
+                acc.symmetric_difference_update({unit_exchange(A, "col", i, j, k, l)})
+            if acc:
+                rows.add(frozenset(acc))
+    return rows
+
+
+def z_coefficient_complement(A, j: int, k: int) -> int:
+    """z_jk(A) from the complementary sums and the margins."""
+    s = sum(A.entry(i, k) for i in range(j + 1, A.nrows + 1)) + sum(
+        A.entry(j, l) for l in range(k + 1, A.ncols + 1)
+    )
+    return (s + A.row_margins[j - 1] + A.col_margins[k - 1] + j + k) % 2
+
+
+def distribute_rows_reference(head, tail_counts, nrows):
+    """Appended unit rows by deduplicating every permutation of the slots."""
+    slots = []
+    for j, c in enumerate(tail_counts):
+        slots.extend([j] * c)
+    assert len(slots) == nrows
+    out = []
+    for arrangement in sorted(set(itertools.permutations(slots))):
+        rows = list(head)
+        for j in arrangement:
+            unit = [0] * len(tail_counts)
+            unit[j] = 1
+            rows.append(tuple(unit))
+        out.append(tuple(rows))
+    return out

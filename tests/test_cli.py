@@ -100,8 +100,22 @@ def test_unknown_subcommand(capsys):
 
 
 def test_threads_must_be_positive(capsys):
-    code, _, err = run(capsys, ["rel-dim", "--lambda", "2,1", "--threads", "0"])
+    # --threads was never read; it is no longer an option at all
+    for value in ("0", "1"):
+        code, _, err = run(capsys, ["rel-dim", "--lambda", "2,1", "--threads", value])
+        assert code == 2
+        assert "unrecognized arguments: --threads" in err
+
+
+def test_max_tables_caps_shifted_enumerations(capsys):
+    # (3,3,4) has 17 tables; the shifted enumeration behind its C(2,3) rows has 18
+    argv = ["rel-dim", "--a", "3", "--m", "3", "--b", "4", "--max-tables"]
+    code, _, err = run(capsys, argv + ["17"])
     assert code == 2
+    assert "more than 17 tables" in err
+    code, out, _ = run(capsys, argv + ["18"])
+    assert code == 0
+    assert json.loads(out)["num_tables"] == 17
 
 
 def test_dump_relations(capsys):

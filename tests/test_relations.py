@@ -1,6 +1,6 @@
 import pytest
 
-from spechtend.errors import InvalidParameter
+from spechtend.errors import CapExceeded, InvalidParameter
 from spechtend.gf2 import Echelon
 from spechtend.partitions import (
     Composition,
@@ -10,22 +10,31 @@ from spechtend.partitions import (
     order_compare,
     transpose,
 )
+from spechtend.partitions import staircase_families
 from spechtend.relations import (
     build_C_rows,
     build_R_rows,
     build_Z_row,
-    corollary_C_rows,
-    corollary_R_rows,
     relation_system,
     relevance_system,
     solve_relevance,
     transpose_hom,
     z_coefficient,
-    z_coefficient_complement,
 )
 from spechtend.tabloids import rel_dimension_materialized
 
-from oracles import partitions_of
+from oracles import (
+    corollary_C_rows,
+    corollary_R_rows,
+    partitions_of,
+    reference_relation_system,
+    z_coefficient_complement,
+)
+
+
+def as_sets(built):
+    """Built rows as frozensets of TabMatrix, the form the references use."""
+    return {frozenset(map(TabMatrix, targets)) for targets, _ in built}
 
 
 def small_pairs(max_r):
@@ -42,9 +51,8 @@ def test_forced_row_smallest_case():
     alpha = beta = Composition((2, 1))
     rows = build_R_rows(alpha, beta, 1, 2)
     assert len(rows) == 1
-    row, prov = rows[0]
-    assert row == frozenset({TabMatrix([[2, 0], [0, 1]])})
-    assert prov.startswith("R(1,2)")
+    assert as_sets(rows) == {frozenset({TabMatrix([[2, 0], [0, 1]])})}
+    assert relation_system(alpha, beta).provenance[0].startswith("R(1,2)")
 
 
 def test_R_rows_empty_when_source_part_zero():
@@ -62,7 +70,7 @@ def test_R_rows_match_corollary_form():
         tables = enumerate_tables(alpha, beta)
         for i in range(1, alpha.width + 1):
             for j in range(i + 1, alpha.width + 1):
-                built = {row for row, _ in build_R_rows(alpha, beta, i, j)}
+                built = as_sets(build_R_rows(alpha, beta, i, j))
                 assert built == corollary_R_rows(tables, i, j), (alpha, beta, i, j)
 
 
@@ -71,7 +79,7 @@ def test_C_rows_match_corollary_form():
         tables = enumerate_tables(alpha, beta)
         for i in range(1, beta.width + 1):
             for j in range(i + 1, beta.width + 1):
-                built = {row for row, _ in build_C_rows(alpha, beta, i, j)}
+                built = as_sets(build_C_rows(alpha, beta, i, j))
                 assert built == corollary_C_rows(tables, i, j), (alpha, beta, i, j)
 
 
@@ -79,12 +87,41 @@ def test_C_rows_are_transposed_R_rows():
     for alpha, beta in small_pairs(4):
         for i in range(1, beta.width + 1):
             for j in range(i + 1, beta.width + 1):
-                c_rows = {row for row, _ in build_C_rows(alpha, beta, i, j)}
+                c_rows = as_sets(build_C_rows(alpha, beta, i, j))
                 r_rows = {
                     frozenset(A.transpose() for A in row)
-                    for row, _ in build_R_rows(beta, alpha, i, j)
+                    for row in as_sets(build_R_rows(beta, alpha, i, j))
                 }
                 assert c_rows == r_rows
+
+
+def test_relation_system_matches_reference_builder():
+    # the tuple-table engine reproduces the TabMatrix builder exactly: table
+    # order, rows and first-occurrence provenance, hence dump-relations too
+    cases = []
+    for r in range(1, 8):
+        for parts in partitions_of(r):
+            lam = Partition(parts)
+            cases.append((Composition(transpose(lam).parts), Composition(parts)))
+    cases += [(fam.alpha, fam.beta) for fam in staircase_families(12)]
+    for alpha, beta in cases:
+        sys = relation_system(alpha, beta)
+        tables, rows, provenance = reference_relation_system(alpha.parts, beta.parts)
+        assert sys.tables == tables, (alpha, beta)
+        assert [list(row) for row in sys.rows] == rows, (alpha, beta)
+        assert sys.provenance == provenance, (alpha, beta)
+
+
+def test_row_builders_honour_the_table_cap():
+    # family (3,3,4): Tab(alpha, beta) has 17 tables, but the shifted
+    # enumeration behind the C(2,3) rows has 18
+    alpha, beta = Composition((6, 2, 1)), Composition((3, 2, 4))
+    assert len(enumerate_tables(alpha, beta, max_tables=17)) == 17
+    with pytest.raises(CapExceeded):
+        build_C_rows(alpha, beta, 2, 3, max_tables=17)
+    with pytest.raises(CapExceeded):
+        relation_system(alpha, beta, max_tables=17)
+    assert len(relation_system(alpha, beta, max_tables=18).tables) == 17
 
 
 def test_relation_system_rows_deduplicated():

@@ -1,6 +1,9 @@
+import dataclasses
+import itertools
+
 import pytest
 
-from spechtend import worked_examples
+from spechtend import partitions, staircase, worked_examples
 from spechtend.errors import InvalidParameter, ParityError, VerificationError
 from spechtend.gf2 import Echelon
 from spechtend.partitions import Composition, TabMatrix, staircase_families, staircase_family
@@ -21,7 +24,7 @@ from spechtend.staircase import (
     verify_parity_theorem,
 )
 
-from oracles import multinomial
+from oracles import distribute_rows_reference, multinomial
 
 
 def test_tau_reverses_rows():
@@ -196,3 +199,36 @@ def test_audit_rejects_empty_support():
     fake = RelevanceResult(0, [], set(), flat_tables(fam))
     with pytest.raises(VerificationError):
         structural_lemma_audit(fam, fake)
+
+
+def test_distribute_rows_matches_permutation_reference():
+    # every column-count vector with up to 7 unit rows over 1 to 3 columns
+    for ncols in range(1, 4):
+        for counts in itertools.product(range(5), repeat=ncols):
+            nrows = sum(counts)
+            if nrows > 7:
+                continue
+            head = [tuple(range(ncols))]
+            got = staircase._distribute_rows(head, counts, nrows)
+            assert got == distribute_rows_reference(head, counts, nrows), counts
+
+
+def test_pi_expand_long_last_row_is_immediate():
+    # b' = 13: one class, which the permutation form needed 13! tuples to find
+    fam = staircase_family(14, 2, 1)
+    A0 = theorem_matrix(fam)
+    got = pi_expand(A0, fam)
+    assert len(got) == 1
+    assert got[0].to_lists() == [[1, 1]] + [[1, 0]] * 13
+
+
+def test_invariants_raise_verification_error(monkeypatch):
+    # the internal invariants are explicit raises, which survive python -O
+    with pytest.raises(VerificationError):
+        staircase._distribute_rows([], (1, 1), 3)
+    fam = staircase_family(5, 3, 2)
+    with pytest.raises(VerificationError):
+        theorem_matrix(dataclasses.replace(fam, b=fam.b + 1))
+    monkeypatch.setattr(partitions, "transpose", lambda lam: lam)
+    with pytest.raises(VerificationError):
+        staircase_family(3, 2, 3)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spechtend.errors import CapExceeded, InvalidParameter
+from spechtend import tabloids
+from spechtend.errors import CapExceeded, InvalidParameter, VerificationError
 from spechtend.gf2 import Gf2Matrix, mat_mul
 from spechtend.partitions import Composition, Partition, TabMatrix, enumerate_tables
 from spechtend.tabloids import (
@@ -230,3 +231,20 @@ def test_end_oracle_one_row():
 def test_end_oracle_examples():
     assert end_dimension_oracle(Partition((2, 1))) == 1
     assert end_dimension_oracle(Partition((3, 1, 1, 1))) == 1
+
+
+def test_end_oracle_cap_checked_before_enumerating(monkeypatch):
+    # the rho budget needs only the tabloid dimensions, so a capped oracle
+    # must refuse before it enumerates Tab(lam', lam)
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("Tab(lam', lam) enumerated before the bit-budget check")
+
+    monkeypatch.setattr(tabloids, "enumerate_tables", no_enumeration)
+    with pytest.raises(CapExceeded):
+        end_dimension_oracle(Partition((3, 1, 1, 1)), max_bits=100)
+
+
+def test_tabloid_basis_size_invariant(monkeypatch):
+    monkeypatch.setattr(tabloids, "tabloid_dim", lambda alpha: 4)
+    with pytest.raises(VerificationError):
+        tabloids.TabloidBasis(Composition((2, 1)))
