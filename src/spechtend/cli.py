@@ -1,18 +1,21 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 failed mathematical assertion, 2 usage or cap error.
+Exit codes: 0 success, 1 failed mathematical assertion, 2 usage or cap error,
+3 internal error (a broken invariant or an unexpected exception).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
 import time
+import traceback
 from typing import Dict, List, Optional
 
 from . import __version__
-from .errors import CapExceeded, InvalidParameter, ParityError, VerificationError
+from .errors import CapExceeded, InternalError, InvalidParameter, ParityError, VerificationError
 from .limits import DEFAULT_MAX_BITS, DEFAULT_MAX_TABLES
 from .partitions import (
     Composition,
@@ -21,15 +24,15 @@ from .partitions import (
     parse_parts,
     staircase_families,
     staircase_family,
-    transpose,
 )
-from .relations import relation_system, relevance_system, solve_relevance
-from .staircase import flat_relevance_system, verify_parity_theorem
+from .relations import relevance_system, solve_relevance
+from .staircase import check_family, flat_relevance_system, verify_parity_theorem
 from .tabloids import end_dimension_oracle
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _support_digest(support: List[List[List[int]]]) -> str:
@@ -127,8 +130,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _load_cache(path: str) -> Dict[str, dict]:
-    cache: Dict[str, dict] = {}
+def _load_cache(path: str) -> Dict[tuple, dict]:
+    """Cached records keyed on (partition, version, max_bits)."""
+    cache: Dict[tuple, dict] = {}
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -137,7 +141,7 @@ def _load_cache(path: str) -> Dict[str, dict]:
                     continue
                 try:
                     rec = json.loads(line)
-                    cache[rec["key"]] = rec
+                    cache[rec["key"], rec.get("version"), rec.get("max_bits")] = rec
                 except (json.JSONDecodeError, KeyError, TypeError):
                     print(
                         f"warning: skipping corrupt cache line {lineno}",
@@ -148,31 +152,6 @@ def _load_cache(path: str) -> Dict[str, dict]:
     return cache
 
 
-def _scan_record(fam, args) -> dict:
-    sysm = flat_relevance_system(fam, args.max_tables)
-    rel = solve_relevance(sysm)
-    end_dim: Optional[int] = None
-    try:
-        end_dim = end_dimension_oracle(fam.lam, args.max_bits)
-    except CapExceeded:
-        end_dim = None
-    support = sorted(A.to_lists() for A in rel.support)
-    return {
-        "key": ",".join(str(p) for p in fam.lam.parts),
-        "a": fam.a,
-        "m": fam.m,
-        "b": fam.b,
-        "r": fam.r,
-        "parity": fam.parity_ok,
-        "rel_dim": rel.dim,
-        "end_dim": end_dim,
-        "num_tables": len(sysm.tables),
-        "support_digest": _support_digest(support),
-        "version": __version__,
-        "timestamp": int(time.time()),
-    }
-
-
 def cmd_scan(args) -> int:
     cache = _load_cache(args.cache) if args.cache else {}
     fams = staircase_families(args.max_r)
@@ -180,21 +159,32 @@ def cmd_scan(args) -> int:
         fams = [f for f in fams if f.parity_ok]
     elif args.parity == "mismatch":
         fams = [f for f in fams if not f.parity_ok]
-    new_records = []
-    for fam in fams:
-        key = ",".join(str(p) for p in fam.lam.parts)
-        if not args.force and key in cache:
-            rec = cache[key]
-        else:
-            rec = _scan_record(fam, args)
-            new_records.append(rec)
-            cache[key] = rec
-        print(json.dumps(rec, sort_keys=True))
-    if args.cache and new_records:
-        with open(args.cache, "a") as fh:
-            for rec in new_records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    return EXIT_OK
+    failed = False
+    with open(args.cache, "a") if args.cache else contextlib.nullcontext() as out:
+        for fam in fams:
+            key = ",".join(str(p) for p in fam.lam.parts)
+            rec = None if args.force else cache.get((key, __version__, args.max_bits))
+            if rec is None:
+                report = check_family(fam, args.max_tables, args.max_bits)
+                rec = report.to_json_dict()
+                rec.update(
+                    key=key,
+                    support_digest=_support_digest(rec.pop("support")),
+                    # the theorem claims nothing for a non-parity family
+                    verdict=report.failures() if fam.parity_ok else None,
+                    max_bits=args.max_bits,
+                    version=__version__,
+                    timestamp=int(time.time()),
+                )
+                if out is not None:
+                    out.write(json.dumps(rec, sort_keys=True) + "\n")
+                    out.flush()
+            print(json.dumps(rec, sort_keys=True))
+            if rec["verdict"]:
+                failed = True
+                print(f"assertion failed: ({rec['a']},{rec['m']},{rec['b']}): "
+                      + "; ".join(rec["verdict"]), file=sys.stderr)
+    return EXIT_ASSERT if failed else EXIT_OK
 
 
 def cmd_dump_relations(args) -> int:
@@ -298,12 +288,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
+    except InternalError:
+        traceback.print_exc()
+        return EXIT_INTERNAL
     except (VerificationError, AssertionError) as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return EXIT_ASSERT
     except (CapExceeded, ParityError, InvalidParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -20,3 +20,7 @@ class ParityError(InvalidParameter):
 
 class VerificationError(AssertionError):
     """A checked mathematical assertion failed."""
+
+
+class InternalError(VerificationError):
+    """An internal invariant of the package broke: a bug, not a failed claim."""

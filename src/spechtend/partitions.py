@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import CapExceeded, DegreeMismatch, InvalidParameter, VerificationError
+from .errors import CapExceeded, DegreeMismatch, InternalError, InvalidParameter
 
 Table = Tuple[Tuple[int, ...], ...]
 
@@ -329,13 +329,13 @@ def staircase_family(a: int, m: int, b: int) -> StaircaseFamily:
     lam = Partition((a,) + stair + (1,) * b)
     lam_t = transpose(lam)
     if lam_t.parts != (a_p,) + stair + (1,) * b_p:
-        raise VerificationError(
+        raise InternalError(
             f"transpose {lam_t.parts} of {lam.parts} is not a staircase hook"
         )
     alpha = Composition((a_p,) + stair + (b_p,))
     beta = Composition((a,) + stair + (b,))
     if not alpha.degree == beta.degree == lam.degree:
-        raise VerificationError(
+        raise InternalError(
             f"flat margins {alpha.parts}/{beta.parts} miss degree {lam.degree}"
         )
     return StaircaseFamily(a, m, b, a_p, b_p, lam, lam_t, alpha, beta, lam.degree)

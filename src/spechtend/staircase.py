@@ -4,26 +4,21 @@ For lam = (a, m-1, ..., 2, 1^b) the relevant space of M(lam') -> M(lam) is
 isomorphic to the nullspace of a relation system on the m x m tables with
 margins alpha = (a', m-1, ..., 2, b') and beta = (a, m-1, ..., 2, b).  This
 module builds that flat system, expands flat tables back to full ones, runs
-the structural classifiers on flat tables, and verifies the parity theorem.
+the structural classifiers on flat tables, and checks families: `check_family`
+computes a report and `VerifyReport.failures` alone judges the parity theorem.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .errors import CapExceeded, InvalidParameter, ParityError, VerificationError
+from .errors import CapExceeded, InternalError, InvalidParameter, ParityError, VerificationError
 from .gf2 import Gf2Matrix
 from .limits import DEFAULT_MAX_BITS, DEFAULT_MAX_TABLES
-from .partitions import (
-    Composition,
-    StaircaseFamily,
-    TabMatrix,
-    enumerate_tables,
-    staircase_family,
-)
+from .partitions import StaircaseFamily, TabMatrix, enumerate_tables
 from .relations import RelationSystem, RelevanceResult, relation_system, solve_relevance
-from .tabloids import rho_matrix, tabloid_dim
+from .tabloids import end_dimension_oracle, rho_matrix
 
 
 def _arrangements(counts: List[int]) -> Iterator[Tuple[int, ...]]:
@@ -44,7 +39,7 @@ def _distribute_rows(head: Sequence[Tuple[int, ...]], tail_counts: Sequence[int]
     """All ways to append `nrows` unit rows whose column sums are tail_counts."""
     ncols = len(tail_counts)
     if sum(tail_counts) != nrows:
-        raise VerificationError(
+        raise InternalError(
             f"column sums {tuple(tail_counts)} do not fill {nrows} unit rows"
         )
     units = [tuple(int(j == k) for k in range(ncols)) for j in range(ncols)]
@@ -251,7 +246,7 @@ def theorem_matrix(family: StaircaseFamily) -> TabMatrix:
     entries[m - 1][0] = family.a - family.m + 1
     A0 = TabMatrix(entries)
     if A0.row_margins != family.alpha or A0.col_margins != family.beta:
-        raise VerificationError(
+        raise InternalError(
             f"A0 = {A0} misses the margins of ({family.a},{family.m},{family.b})"
         )
     return A0
@@ -311,12 +306,23 @@ class VerifyReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.rel_dim == 1
-            and self.support == [theorem_matrix(self.family)]
-            and (self.end_dim in (None, 1))
-            and all(v in ("pass", "skipped") for v in self.audits.values())
-        )
+        return not self.failures()
+
+    def failures(self) -> List[str]:
+        """The parity theorem's predictions this report breaks; [] if it held."""
+        f = self.family
+        A0 = theorem_matrix(f)
+        out = []
+        if self.rel_dim != 1:
+            out.append(f"flat relevance dimension {self.rel_dim} != 1 for ({f.a},{f.m},{f.b})")
+        if self.support != [A0]:
+            out.append(f"support {self.support} != predicted {[A0]}")
+        if self.end_dim not in (None, 1):
+            out.append(f"oracle End dimension {self.end_dim} != 1")
+        bad = [k for k, v in self.audits.items() if v == "fail"]
+        if bad:
+            out.append(f"structural audits failed: {bad}")
+        return out
 
     def to_json_dict(self) -> dict:
         f = self.family
@@ -335,6 +341,37 @@ class VerifyReport:
         }
 
 
+def check_family(
+    family: StaircaseFamily,
+    max_tables: int = DEFAULT_MAX_TABLES,
+    max_bits: int = DEFAULT_MAX_BITS,
+    run_oracle: bool = True,
+) -> VerifyReport:
+    """Solve the flat system, run the oracle (end_dim None when capped) and
+    audit the support, for any family; a failed claim never raises."""
+    t0 = time.monotonic()
+    sys = flat_relevance_system(family, max_tables)
+    rel = solve_relevance(sys)
+    end_dim: Optional[int] = None
+    if run_oracle:
+        try:
+            end_dim = end_dimension_oracle(family.lam, max_bits)
+        except CapExceeded:
+            pass
+    audits = structural_lemma_audit(family, rel)
+    elapsed = int((time.monotonic() - t0) * 1000)
+    return VerifyReport(
+        family,
+        family.parity_ok,
+        len(sys.tables),
+        rel.dim,
+        end_dim,
+        sorted(rel.support, key=lambda A: A.entries),
+        audits,
+        elapsed,
+    )
+
+
 def verify_parity_theorem(
     family: StaircaseFamily,
     max_tables: int = DEFAULT_MAX_TABLES,
@@ -346,42 +383,8 @@ def verify_parity_theorem(
         raise ParityError(
             f"family ({family.a},{family.m},{family.b}) violates a-m == b mod 2"
         )
-    t0 = time.monotonic()
-    sys = flat_relevance_system(family, max_tables)
-    rel = solve_relevance(sys)
-    end_dim: Optional[int] = None
-    if run_oracle:
-        try:
-            from .tabloids import end_dimension_oracle
-
-            end_dim = end_dimension_oracle(family.lam, max_bits)
-        except CapExceeded:
-            end_dim = None
-    audits = structural_lemma_audit(family, rel)
-    elapsed = int((time.monotonic() - t0) * 1000)
-    report = VerifyReport(
-        family,
-        family.parity_ok,
-        len(sys.tables),
-        rel.dim,
-        end_dim,
-        sorted(rel.support, key=lambda A: A.entries),
-        audits,
-        elapsed,
-    )
-    A0 = theorem_matrix(family)
-    if rel.dim != 1:
-        raise VerificationError(
-            f"flat relevance dimension {rel.dim} != 1 for "
-            f"({family.a},{family.m},{family.b})"
-        )
-    if report.support != [A0]:
-        raise VerificationError(
-            f"support {report.support} != predicted {[A0]}"
-        )
-    if end_dim is not None and end_dim != 1:
-        raise VerificationError(f"oracle End dimension {end_dim} != 1")
-    bad = [k for k, v in audits.items() if v == "fail"]
-    if bad:
-        raise VerificationError(f"structural audits failed: {bad}")
+    report = check_family(family, max_tables, max_bits, run_oracle)
+    failures = report.failures()
+    if failures:
+        raise VerificationError("; ".join(failures))
     return report

@@ -12,7 +12,7 @@ import math
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import CapExceeded, InvalidParameter, VerificationError
+from .errors import CapExceeded, InternalError, InvalidParameter
 from .gf2 import Echelon, Gf2Matrix, Gf2Vector, TaggedEchelon, mat_mul
 from .limits import DEFAULT_MAX_BITS
 from .partitions import Composition, Partition, TabMatrix, enumerate_tables
@@ -37,7 +37,7 @@ class TabloidBasis:
         self.elements: Tuple[Tabloid, ...] = tuple(_enumerate(alpha.parts))
         self.index: Dict[Tabloid, int] = {x: i for i, x in enumerate(self.elements)}
         if len(self.elements) != tabloid_dim(alpha):
-            raise VerificationError(
+            raise InternalError(
                 f"{len(self.elements)} tabloids for {alpha.parts}, "
                 f"expected {tabloid_dim(alpha)}"
             )
@@ -266,13 +266,18 @@ def equivariant_hom_dim(
     return uf.count
 
 
-def _vec_rows(M: Gf2Matrix, offset: int) -> Tuple[int, int]:
-    """Pack a matrix row-major into one int starting at bit `offset`."""
-    acc = 0
-    for row in M.rows:
-        acc |= row << offset
-        offset += M.ncols
-    return acc, offset
+def _pack_rows(mats: Iterable[Gf2Matrix]) -> int:
+    """Pack matrices row-major into one int, each row padded to whole bytes.
+
+    The layout is an injective linear map, so ranks and kernels are those of
+    the plain concatenation.  Building the int once from bytes keeps packing
+    linear in its length; ORing each row into a growing int is quadratic.
+    """
+    pieces = []
+    for M in mats:
+        width = (M.ncols + 7) // 8
+        pieces.extend(row.to_bytes(width, "little") for row in M.rows)
+    return int.from_bytes(b"".join(pieces), "little")
 
 
 def hom_solution_space(
@@ -339,13 +344,9 @@ def hom_solution_space(
     kernel: List[int] = []
     for col, A in enumerate(tables):
         R = rho_matrix(A, max_bits)
-        acc, off = 0, 0
-        for phi in phis:
-            part, off = _vec_rows(mat_mul(R, phi), off)
-            acc |= part
-        for psi in psis:
-            part, off = _vec_rows(mat_mul(psi, R), off)
-            acc |= part
+        acc = _pack_rows(itertools.chain(
+            (mat_mul(R, phi) for phi in phis), (mat_mul(psi, R) for psi in psis)
+        ))
         dep = ech.insert(acc, 1 << col)
         if dep is not None:
             kernel.append(dep)

@@ -295,3 +295,13 @@ def distribute_rows_reference(head, tail_counts, nrows):
             rows.append(tuple(unit))
         out.append(tuple(rows))
     return out
+
+
+def pack_rows_reference(mats) -> int:
+    """Row-major packing with no padding, by shift-and-OR into one int."""
+    acc, offset = 0, 0
+    for M in mats:
+        for row in M.rows:
+            acc |= row << offset
+            offset += M.ncols
+    return acc

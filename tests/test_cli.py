@@ -1,8 +1,15 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from spechtend import cli, relations, selftest
+from spechtend import cli, partitions, relations, selftest, staircase
+from spechtend.errors import CapExceeded
+from spechtend.limits import DEFAULT_MAX_BITS
 
 
 def run(capsys, argv):
@@ -193,3 +200,117 @@ def test_selftest_detects_corrupted_z_coefficient(capsys, monkeypatch):
     )
     with pytest.raises(AssertionError):
         selftest.check_z_redundancy(6)
+
+
+def _lines(text):
+    return [json.loads(line) for line in text.strip().splitlines()]
+
+
+def test_scan_exits_1_when_a_parity_family_fails(tmp_path, capsys, monkeypatch):
+    cache = str(tmp_path / "scan.jsonl")
+    original = staircase.solve_relevance
+
+    def solve(system):  # dimension 2 for the parity family (3,2,1)
+        rel = original(system)
+        if system.alpha.parts == (2, 2):
+            rel = dataclasses.replace(rel, dim=2)
+        return rel
+
+    monkeypatch.setattr(staircase, "solve_relevance", solve)
+    code, out, err = run(capsys, ["scan", "--max-r", "5", "--cache", cache])
+    assert code == 1
+    assert "(3,2,1)" in err and "(2,2,2)" not in err
+    recs = _lines(out)
+    assert [(r["a"], r["m"], r["b"]) for r in recs] == [(2, 2, 2), (3, 2, 1)]
+    assert recs[0]["verdict"] == []
+    assert recs[1]["verdict"] == ["flat relevance dimension 2 != 1 for (3,2,1)"]
+    assert _lines(Path(cache).read_text()) == recs
+
+    # served from the cache alone, the failed record still fails the scan
+    def no_compute(*args, **kwargs):
+        raise RuntimeError("a cached family was recomputed")
+
+    monkeypatch.setattr(cli, "check_family", no_compute)
+    code, out2, err = run(capsys, ["scan", "--max-r", "5", "--cache", cache])
+    assert code == 1
+    assert "(3,2,1)" in err
+    assert out2 == out
+
+
+def test_scan_verdict_only_for_parity_families(capsys):
+    # (3,2,2) has rel_dim 2, but the theorem claims nothing there
+    code, out, _ = run(capsys, ["scan", "--max-r", "5", "--parity", "all"])
+    assert code == 0
+    recs = _lines(out)
+    assert all((r["verdict"] == []) == r["parity"] for r in recs)
+    assert all(r["verdict"] is None for r in recs if not r["parity"])
+    assert {r["rel_dim"] for r in recs if not r["parity"]} == {1, 2}
+
+
+def test_scan_keeps_the_records_made_before_a_stop(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "scan.jsonl"
+    calls = []
+    original = cli.check_family
+
+    def stop_on_third(fam, *args):
+        calls.append(fam)
+        if len(calls) == 3:
+            raise CapExceeded("stopped on the third family")
+        return original(fam, *args)
+
+    monkeypatch.setattr(cli, "check_family", stop_on_third)
+    code, out, _ = run(capsys, ["scan", "--max-r", "5", "--parity", "all",
+                                "--cache", str(cache)])
+    assert code == 2
+    cached = _lines(cache.read_text())
+    assert cached == _lines(out)
+    assert [(r["a"], r["m"], r["b"]) for r in cached] == [
+        (f.a, f.m, f.b) for f in calls[:2]
+    ]
+
+
+def test_scan_cache_is_keyed_on_max_bits(tmp_path, capsys):
+    cache = str(tmp_path / "scan.jsonl")
+    code, out, _ = run(capsys, ["scan", "--max-r", "4", "--max-bits", "1",
+                                "--cache", cache])
+    assert code == 0
+    assert [(r["end_dim"], r["max_bits"]) for r in _lines(out)] == [(None, 1)] * 2
+    code, out, _ = run(capsys, ["scan", "--max-r", "4", "--cache", cache])
+    assert code == 0
+    recs = _lines(out)
+    assert [(r["end_dim"], r["max_bits"]) for r in recs] == [(1, DEFAULT_MAX_BITS)] * 2
+    assert all(r["key"] in ("2,1,1", "3,1") for r in recs)
+    assert len(_lines(Path(cache).read_text())) == 4
+
+
+def test_internal_errors_exit_3(capsys, monkeypatch):
+    def broken(*args):
+        raise KeyError("injected")
+
+    with monkeypatch.context() as m:
+        m.setattr(staircase, "structural_lemma_audit", broken)
+        code, _, err = run(capsys, ["verify", "--a", "3", "--m", "2", "--b", "1"])
+        assert code == 3
+        assert "KeyError: 'injected'" in err
+        code, _, _ = run(capsys, ["scan", "--max-r", "4"])
+        assert code == 3
+    # an invariant that breaks is an internal error, not a failed claim
+    monkeypatch.setattr(partitions, "transpose", lambda lam: lam)
+    code, _, err = run(capsys, ["verify", "--a", "3", "--m", "2", "--b", "3"])
+    assert code == 3
+    assert "InternalError" in err
+
+
+def test_console_entry_exit_codes():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cases = [
+        (["verify", "--a", "3", "--m", "2", "--b", "3"], 0),
+        (["verify", "--a", "4", "--m", "2", "--b", "1"], 2),
+        (["no-such-command"], 2),
+    ]
+    for argv, want in cases:
+        proc = subprocess.run([sys.executable, "-m", "spechtend.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == want, (argv, proc.stderr)

@@ -3,12 +3,13 @@ import itertools
 
 import pytest
 
-from spechtend import partitions, staircase, worked_examples
-from spechtend.errors import InvalidParameter, ParityError, VerificationError
+from spechtend import partitions, staircase, tabloids, worked_examples
+from spechtend.errors import InternalError, InvalidParameter, ParityError, VerificationError
 from spechtend.gf2 import Echelon
 from spechtend.partitions import Composition, TabMatrix, staircase_families, staircase_family
 from spechtend.relations import RelevanceResult, relevance_system, solve_relevance
 from spechtend.staircase import (
+    check_family,
     classify_structure,
     flat_relevance_system,
     flat_tables,
@@ -232,3 +233,45 @@ def test_invariants_raise_verification_error(monkeypatch):
     monkeypatch.setattr(partitions, "transpose", lambda lam: lam)
     with pytest.raises(VerificationError):
         staircase_family(3, 2, 3)
+
+
+def test_invariants_raise_internal_error(monkeypatch):
+    # a broken invariant is a bug, reported apart from a failed claim
+    with pytest.raises(InternalError):
+        staircase._distribute_rows([], (1, 1), 3)
+    fam = staircase_family(5, 3, 2)
+    with pytest.raises(InternalError):
+        theorem_matrix(dataclasses.replace(fam, b=fam.b + 1))
+    monkeypatch.setattr(tabloids, "tabloid_dim", lambda alpha: 4)
+    with pytest.raises(InternalError):
+        tabloids.TabloidBasis(Composition((2, 1)))
+    monkeypatch.setattr(partitions, "transpose", lambda lam: lam)
+    with pytest.raises(InternalError):
+        staircase_family(3, 2, 3)
+
+
+def test_check_family_judges_without_raising():
+    rep = check_family(staircase_family(3, 2, 3))
+    assert rep.failures() == [] and rep.ok
+    # (3,2,2) breaks the parity condition and every prediction, without a raise
+    rep = check_family(staircase_family(3, 2, 2))
+    assert not rep.parity
+    assert rep.rel_dim == 2 and rep.end_dim == 2
+    assert len(rep.failures()) == 4
+    assert check_family(staircase_family(3, 2, 2), run_oracle=False).end_dim is None
+
+
+def test_failures_are_the_one_verdict(monkeypatch):
+    fam = staircase_family(3, 2, 1)
+    original = staircase.solve_relevance
+    monkeypatch.setattr(staircase, "solve_relevance",
+                        lambda system: dataclasses.replace(original(system), dim=2))
+    rep = check_family(fam)
+    assert rep.failures() == ["flat relevance dimension 2 != 1 for (3,2,1)"]
+    assert not rep.ok
+    with pytest.raises(VerificationError, match="flat relevance dimension 2 != 1"):
+        verify_parity_theorem(fam)
+    # the other three predictions are judged there too
+    audits = dict(rep.audits, no_bottom_right="fail")
+    bad = dataclasses.replace(rep, rel_dim=1, end_dim=2, support=[], audits=audits)
+    assert [f.split(" ")[0] for f in bad.failures()] == ["support", "oracle", "structural"]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from spechtend import tabloids
 from spechtend.errors import CapExceeded, InvalidParameter, VerificationError
-from spechtend.gf2 import Gf2Matrix, mat_mul
+from spechtend.gf2 import Echelon, Gf2Matrix, mat_mul
 from spechtend.partitions import Composition, Partition, TabMatrix, enumerate_tables
 from spechtend.tabloids import (
     boundary_map,
@@ -21,7 +21,13 @@ from spechtend.tabloids import (
     tabloid_dim,
 )
 
-from oracles import multinomial, partitions_of, rho_column_reference, syt_count
+from oracles import (
+    multinomial,
+    pack_rows_reference,
+    partitions_of,
+    rho_column_reference,
+    syt_count,
+)
 
 
 def test_single_tabloid():
@@ -248,3 +254,32 @@ def test_tabloid_basis_size_invariant(monkeypatch):
     monkeypatch.setattr(tabloids, "tabloid_dim", lambda alpha: 4)
     with pytest.raises(VerificationError):
         tabloids.TabloidBasis(Composition((2, 1)))
+
+
+def test_byte_packing_matches_reference_packing(monkeypatch):
+    # the padded byte layout must give the kernel of the unpadded one
+    partitions = [Partition(p) for r in range(1, 7) for p in partitions_of(r)]
+    cases = [(lam, adjacent) for lam in partitions for adjacent in (True, False)]
+    got = {case: tabloids.hom_solution_space(*case)[:2] for case in cases}
+    monkeypatch.setattr(tabloids, "_pack_rows", pack_rows_reference)
+    for case in cases:
+        dim, kernel, _ = tabloids.hom_solution_space(*case)
+        assert got[case][0] == dim, case
+        span = Echelon()
+        for x in kernel + got[case][1]:
+            span.insert(x)
+        assert span.rank == dim, case
+
+
+def test_pack_rows_puts_each_row_in_whole_bytes():
+    rng = random.Random(0)
+    shapes = [(2, 0), (3, 1), (2, 8), (4, 13), (3, 70)]
+    mats = [Gf2Matrix([rng.getrandbits(n) for _ in range(k)], n) for k, n in shapes]
+    packed = tabloids._pack_rows(mats)
+    offset = 0
+    for M in mats:
+        width = 8 * ((M.ncols + 7) // 8)
+        for row in M.rows:
+            assert (packed >> offset) & ((1 << width) - 1) == row
+            offset += width
+    assert packed >> offset == 0
