@@ -99,6 +99,9 @@ def cmd_rel_dim(args) -> int:
     out = {
         "rel_dim": rel.dim,
         "num_tables": len(sysm.tables),
+        "num_rows": len(sysm.rows),
+        "rank": rel.rank,
+        "residual_rows": rel.residual_rows,
         "support": support,
         "support_digest": _support_digest(support),
     }

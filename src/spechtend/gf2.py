@@ -3,11 +3,21 @@
 Rows are Python integers: bit j of a row int is the entry in column j.
 Python's arbitrary-precision ints give word-packed XOR for free, so the
 same code is exact at every size.
+
+`sparse_nullspace` solves a sparse system given as tuples of column indices
+by structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90).  It
+repeats a pass over the rows until a pass changes nothing: each row is
+rewritten in terms of class representatives (repeated representatives cancel
+mod 2, classes known to be zero drop out), a row of weight 1 sets its class
+to zero, and a row of weight 2 merges two classes in a union-find.  `Echelon`
+then solves the rows that are left over the live classes.  Its basis is the
+canonical one `Echelon.nullspace` gives for the whole system, because the
+live classes are ordered by their highest column.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidParameter
 
@@ -245,3 +255,90 @@ def nullspace_basis(M: Gf2Matrix) -> List[Gf2Vector]:
     for r in M.rows:
         ech.insert(r)
     return [Gf2Vector(x, M.ncols) for x in ech.nullspace(M.ncols)]
+
+
+@dataclass(frozen=True)
+class SparseKernel:
+    """The result of `sparse_nullspace` and the counters of its solve.
+
+    `residual_rows` and `residual_cols` size the system left for `Echelon`
+    after the sparse passes: its rows, and the live classes it is solved over.
+    """
+
+    basis: List[int]
+    rank: int
+    residual_rows: int
+    residual_cols: int
+
+
+def sparse_nullspace(rows: Iterable[Sequence[int]], ncols: int) -> SparseKernel:
+    """Canonical kernel basis of a system whose rows list their odd columns.
+
+    Returns the basis `Echelon.nullspace(ncols)` gives after inserting every
+    row: one vector per free column, ascending, each with no bit at another
+    vector's highest bit.
+    """
+    rows = list(rows)
+    cols = set().union(*rows)
+    if cols and (min(cols) < 0 or max(cols) >= ncols):
+        raise InvalidParameter(f"a row has a column outside range({ncols})")
+    parent = list(range(ncols))
+    size = [1] * ncols
+    zero = bytearray(ncols)
+    sparse_rank = 0
+    changed = True
+    while changed:
+        changed = False
+        left = []
+        for row in rows:
+            live: Set[int] = set()
+            for c in row:
+                while parent[c] != c:  # find with path halving
+                    parent[c] = c = parent[parent[c]]
+                if not zero[c]:
+                    if c in live:
+                        live.remove(c)
+                    else:
+                        live.add(c)
+            w = len(live)
+            if w == 1:
+                zero[live.pop()] = 1
+            elif w == 2:
+                x, y = live
+                if size[x] < size[y]:
+                    x, y = y, x
+                parent[y] = x
+                size[x] += size[y]
+            else:
+                if w:
+                    left.append(tuple(live))
+                continue
+            sparse_rank += 1
+            changed = True
+        rows = left
+
+    # Number the live classes by their highest column.  The map from class
+    # vectors to column vectors keeps highest bits in order, so Echelon's
+    # canonical basis over the classes expands to the canonical basis here.
+    members: Dict[int, List[int]] = {}
+    for c in range(ncols):
+        r = c
+        while parent[r] != r:
+            r = parent[r]
+        if not zero[r]:
+            members.setdefault(r, []).append(c)
+    classes = sorted(members, key=lambda r: members[r][-1])
+    index = {r: i for i, r in enumerate(classes)}
+    ech = Echelon()
+    for row in rows:
+        ech.insert(sum(1 << index[r] for r in row))
+    basis = []
+    for v in ech.nullspace(len(classes)):
+        buf = bytearray((ncols + 7) >> 3)
+        while v:
+            low = v & -v
+            v ^= low
+            for c in members[classes[low.bit_length() - 1]]:
+                buf[c >> 3] |= 1 << (c & 7)
+        basis.append(int.from_bytes(buf, "little"))
+    return SparseKernel(basis, sparse_rank + ech.rank, len(rows), len(classes))

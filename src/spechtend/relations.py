@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidParameter
-from .gf2 import Echelon
+from .gf2 import sparse_nullspace
 from .limits import DEFAULT_MAX_TABLES
 from .partitions import (
     Composition,
@@ -174,25 +174,34 @@ def relevance_system(
 
 @dataclass
 class RelevanceResult:
+    """The relevant space and the counters of its solve.
+
+    `rank` is the rank of the whole system; `residual_rows` and
+    `residual_cols` size what the sparse passes left for `Echelon`.
+    """
+
     dim: int
     basis: List[int]
     support: Set[TabMatrix]
     tables: List[TabMatrix]
+    rank: Optional[int] = None
+    residual_rows: Optional[int] = None
+    residual_cols: Optional[int] = None
 
 
 def solve_relevance(sys: RelationSystem) -> RelevanceResult:
     """Nullspace of the system: dimension, canonical basis, support set."""
-    ech = Echelon()
-    for r in sys.row_ints():
-        ech.insert(r)
     n = len(sys.tables)
-    basis = ech.nullspace(n)
+    kernel = sparse_nullspace(sys.rows, n)
     support: Set[TabMatrix] = set()
-    for v in basis:
+    for v in kernel.basis:
         for c in range(n):
             if (v >> c) & 1:
                 support.add(sys.tables[c])
-    return RelevanceResult(len(basis), basis, support, sys.tables)
+    return RelevanceResult(
+        len(kernel.basis), kernel.basis, support, sys.tables,
+        kernel.rank, kernel.residual_rows, kernel.residual_cols,
+    )
 
 
 def z_coefficient(A: TabMatrix, j: int, k: int) -> int:

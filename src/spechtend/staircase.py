@@ -268,7 +268,7 @@ def structural_lemma_audit(
     m = family.m
     audits: Dict[str, bool] = {name: True for name in AUDIT_NAMES}
     if not rel.support:
-        raise VerificationError(
+        raise InternalError(
             "empty support: the identity endomorphism guarantees a nonzero solution"
         )
     for A in rel.support:

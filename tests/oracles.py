@@ -305,3 +305,21 @@ def pack_rows_reference(mats) -> int:
             acc |= row << offset
             offset += M.ncols
     return acc
+
+
+def solve_relevance_reference(sys):
+    """The relevance solve by one `Echelon` over every row as a bit int."""
+    from spechtend.gf2 import Echelon
+    from spechtend.relations import RelevanceResult
+
+    ech = Echelon()
+    for r in sys.row_ints():
+        ech.insert(r)
+    n = len(sys.tables)
+    basis = ech.nullspace(n)
+    support = set()
+    for v in basis:
+        for c in range(n):
+            if (v >> c) & 1:
+                support.add(sys.tables[c])
+    return RelevanceResult(len(basis), basis, support, sys.tables, ech.rank)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from spechtend import cli, partitions, relations, selftest, staircase
+from spechtend import cli, gf2, partitions, relations, selftest, staircase
 from spechtend.errors import CapExceeded
 from spechtend.limits import DEFAULT_MAX_BITS
 
@@ -57,6 +57,9 @@ def test_rel_dim_family_flags(capsys):
     rec = json.loads(out)
     assert (rec["a"], rec["m"], rec["b"], rec["r"]) == (3, 2, 3, 6)
     assert rec["rel_dim"] == 1
+    assert rec["rank"] + rec["rel_dim"] == rec["num_tables"]
+    assert rec["num_rows"] >= rec["rank"]
+    assert rec["residual_rows"] == 0
     assert rec["support"] == [[[1, 3], [2, 0]]]
 
 
@@ -299,6 +302,18 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
     code, _, err = run(capsys, ["verify", "--a", "3", "--m", "2", "--b", "3"])
     assert code == 3
     assert "InternalError" in err
+
+
+def test_empty_kernel_is_an_internal_error(capsys, monkeypatch):
+    # the identity endomorphism rules out an empty kernel: only a solver bug
+    # can give one, so verify must not report it as a failed claim
+    def empty(rows, ncols):
+        return gf2.SparseKernel([], ncols, 0, 0)
+
+    monkeypatch.setattr(relations, "sparse_nullspace", empty)
+    code, _, err = run(capsys, ["verify", "--a", "3", "--m", "2", "--b", "1"])
+    assert code == 3
+    assert "InternalError: empty support" in err
 
 
 def test_console_entry_exit_codes():

@@ -13,6 +13,7 @@ from spechtend.gf2 import (
     mat_mul,
     nullspace_basis,
     rref,
+    sparse_nullspace,
 )
 
 from oracles import naive_gf2_mul
@@ -134,3 +135,53 @@ def test_tagged_echelon_reports_dependency():
 def test_matrix_rejects_overflow_bits():
     with pytest.raises(InvalidParameter):
         Gf2Matrix([0b100], 2)
+
+
+def echelon_kernel(rows, ncols):
+    ech = Echelon()
+    for row in rows:
+        bits = 0
+        for c in row:
+            bits ^= 1 << c
+        ech.insert(bits)
+    return ech.rank, ech.nullspace(ncols)
+
+
+def test_sparse_nullspace_matches_echelon_on_random_systems():
+    # rows of weight 0 to 7 with repeated columns, over ncols that leave some
+    # columns untouched; heavy rows keep the residual Echelon path busy
+    rng = random.Random(2024)
+    residual_runs = 0
+    for _ in range(1500):
+        ncols = rng.randint(1, 30)
+        used = rng.randint(1, ncols)
+        weights = [rng.choice((0, 1, 2, 2, 3, 3, 4, 5, 7)) for _ in range(rng.randint(0, 35))]
+        rows = [tuple(rng.randrange(used) for _ in range(w)) for w in weights]
+        rank, basis = echelon_kernel(rows, ncols)
+        got = sparse_nullspace(rows, ncols)
+        assert got.basis == basis, (rows, ncols)
+        assert got.rank == rank == ncols - len(basis)
+        residual_runs += got.residual_rows > 0
+    assert residual_runs > 200
+
+
+def test_sparse_nullspace_edge_rows():
+    # (0,1) merges 0 and 1, then (1,) zeroes the merged class, so (0,2,3)
+    # merges 2 and 3; (4,4) cancels; (5,6,7,5) merges 6 and 7, so (6,7,8)
+    # zeroes 8 and (7,8,9) merges 9 into {6,7}; column 10 is untouched
+    rows = [(0, 1), (1,), (0, 2, 3), (), (4, 4), (5, 6, 7, 5), (6, 7, 8), (7, 8, 9)]
+    ncols = 11
+    got = sparse_nullspace(rows, ncols)
+    rank, basis = echelon_kernel(rows, ncols)
+    assert got.basis == basis == [0b1100, 1 << 4, 1 << 5, 0b1011000000, 1 << 10]
+    assert got.rank == rank == 6
+    assert (got.residual_rows, got.residual_cols) == (0, 5)
+    assert sparse_nullspace([], 3).basis == [1, 2, 4]
+    assert sparse_nullspace([(0, 1, 2)], 3).residual_rows == 1
+    assert sparse_nullspace([], 0).basis == []
+
+
+def test_sparse_nullspace_rejects_out_of_range_columns():
+    for row in [(3,), (0, -1)]:
+        with pytest.raises(InvalidParameter):
+            sparse_nullspace([row], 3)

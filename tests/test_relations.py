@@ -10,7 +10,7 @@ from spechtend.partitions import (
     order_compare,
     transpose,
 )
-from spechtend.partitions import staircase_families
+from spechtend.partitions import staircase_families, staircase_family
 from spechtend.relations import (
     build_C_rows,
     build_R_rows,
@@ -21,6 +21,7 @@ from spechtend.relations import (
     transpose_hom,
     z_coefficient,
 )
+from spechtend.staircase import flat_relevance_system
 from spechtend.tabloids import rel_dimension_materialized
 
 from oracles import (
@@ -28,6 +29,7 @@ from oracles import (
     corollary_R_rows,
     partitions_of,
     reference_relation_system,
+    solve_relevance_reference,
     z_coefficient_complement,
 )
 
@@ -261,3 +263,28 @@ def test_transposed_solutions_solve_transposed_system():
             ech.insert(v)
         for v in res.basis:
             assert ech.contains(transpose_hom(v, sys.tables, sys_t.tables))
+
+
+def test_solve_relevance_matches_echelon_reference():
+    # the sparse solve against one Echelon over every row: same dimension,
+    # the same basis bit for bit, the same support and the same rank
+    systems = [flat_relevance_system(fam) for fam in staircase_families(13)]
+    systems += [relevance_system(Partition(parts))
+                for r in range(1, 9) for parts in partitions_of(r)]
+    assert len(systems) == 178
+    for sys in systems:
+        got, want = solve_relevance(sys), solve_relevance_reference(sys)
+        label = (sys.alpha.parts, sys.beta.parts)
+        assert got.dim == want.dim, label
+        assert got.basis == want.basis, label
+        assert got.support == want.support, label
+        assert got.rank == want.rank, label
+
+
+def test_rank_and_nullity_fill_the_columns():
+    for a, m, b in [(2, 2, 2), (3, 2, 2), (4, 3, 3), (5, 4, 2), (6, 3, 1)]:
+        sys = flat_relevance_system(staircase_family(a, m, b))
+        rel = solve_relevance(sys)
+        assert rel.rank + rel.dim == len(sys.tables), (a, m, b)
+        assert rel.residual_cols >= rel.dim
+        assert rel.residual_rows <= len(sys.rows)
