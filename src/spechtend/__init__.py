@@ -18,7 +18,7 @@ from .partitions import (  # noqa: F401
     transpose,
     unit_exchange,
 )
-from .gf2 import Gf2Matrix, Gf2Vector, mat_mul, nullspace_basis, rref  # noqa: F401
+from .gf2 import Gf2Matrix, Gf2Vector, mat_mul  # noqa: F401
 from .tabloids import (  # noqa: F401
     boundary_map,
     end_dimension_oracle,

@@ -12,7 +12,7 @@ import json
 import sys
 import time
 import traceback
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .errors import CapExceeded, InternalError, InvalidParameter, ParityError, VerificationError
@@ -20,12 +20,13 @@ from .limits import DEFAULT_MAX_BITS, DEFAULT_MAX_TABLES
 from .partitions import (
     Composition,
     Partition,
+    StaircaseFamily,
     enumerate_tables,
     parse_parts,
     staircase_families,
     staircase_family,
 )
-from .relations import relevance_system, solve_relevance
+from .relations import relation_provenance, relevance_system, solve_relevance
 from .staircase import check_family, flat_relevance_system, verify_parity_theorem
 from .tabloids import end_dimension_oracle
 
@@ -40,27 +41,26 @@ def _support_digest(support: List[List[List[int]]]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _emit(obj, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    elif fmt == "csv":
-        if isinstance(obj, dict):
-            keys = sorted(obj)
-            print(",".join(keys))
-            print(",".join(str(obj[k]) for k in keys))
-        else:
-            for item in obj:
-                print(",".join(str(v) for v in item))
-    else:
-        print(obj)
+def _emit(obj) -> None:
+    print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _family_from_args(args) -> Optional[object]:
+def _family_from_args(args) -> Optional[StaircaseFamily]:
     if args.a is not None or args.m is not None or args.b is not None:
         if None in (args.a, args.m, args.b):
             raise InvalidParameter("--a, --m and --b must be given together")
         return staircase_family(args.a, args.m, args.b)
     return None
+
+
+def _partition_from_args(args) -> Tuple[Partition, Optional[StaircaseFamily]]:
+    """The partition named by --lambda or by --a/--m/--b, and the family if any."""
+    fam = _family_from_args(args)
+    if (fam is None) == (args.lam is None):
+        raise InvalidParameter("give either --lambda or --a/--m/--b, not both")
+    if fam is not None:
+        return fam.lam, fam
+    return Partition(parse_parts(args.lam)), None
 
 
 def cmd_tables(args) -> int:
@@ -71,24 +71,14 @@ def cmd_tables(args) -> int:
         {"alpha": list(alpha.parts), "beta": list(beta.parts), "entries": A.to_lists()}
         for A in tabs
     ]
-    if args.format == "json":
-        _emit(out, "json")
-    elif args.format == "csv":
-        _emit([(len(out),)], "csv")
-    else:
-        print(len(out))
-        for A in tabs:
-            print(A.to_lists())
+    _emit(out)
     return EXIT_OK
 
 
 def _build_system(args):
-    fam = _family_from_args(args)
+    lam, fam = _partition_from_args(args)
     if fam is not None:
         return flat_relevance_system(fam, args.max_tables), fam
-    if args.lam is None:
-        raise InvalidParameter("give either --lambda or --a/--m/--b")
-    lam = Partition(parse_parts(args.lam))
     return relevance_system(lam, args.max_tables), None
 
 
@@ -107,20 +97,14 @@ def cmd_rel_dim(args) -> int:
     }
     if fam is not None:
         out.update({"a": fam.a, "m": fam.m, "b": fam.b, "r": fam.r})
-    _emit(out, args.format)
+    _emit(out)
     return EXIT_OK
 
 
 def cmd_end_dim(args) -> int:
-    if args.lam is None:
-        fam = _family_from_args(args)
-        if fam is None:
-            raise InvalidParameter("give either --lambda or --a/--m/--b")
-        lam = fam.lam
-    else:
-        lam = Partition(parse_parts(args.lam))
+    lam, _ = _partition_from_args(args)
     dim = end_dimension_oracle(lam, args.max_bits)
-    _emit({"lambda": list(lam.parts), "end_dim": dim}, args.format)
+    _emit({"lambda": list(lam.parts), "end_dim": dim})
     return EXIT_OK
 
 
@@ -129,7 +113,7 @@ def cmd_verify(args) -> int:
     if fam is None:
         raise InvalidParameter("verify needs --a --m --b")
     report = verify_parity_theorem(fam, args.max_tables, args.max_bits)
-    _emit(report.to_json_dict(), args.format)
+    _emit(report.to_json_dict())
     return EXIT_OK
 
 
@@ -197,37 +181,43 @@ def cmd_dump_relations(args) -> int:
         "beta": list(sysm.beta.parts),
         "tables": [A.to_lists() for A in sysm.tables],
         "rows": [list(row) for row in sysm.rows],
-        "provenance": sysm.provenance,
+        "provenance": relation_provenance(sysm),
     }
-    _emit(out, args.format)
+    _emit(out)
     return EXIT_OK
 
 
 def cmd_paper_examples(args) -> int:
     from .worked_examples import run_all
 
-    _emit(run_all(), args.format)
+    _emit(run_all())
     return EXIT_OK
 
 
 def cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    _emit(run_selftest(), args.format)
+    _emit(run_selftest())
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["json", "csv", "text"], default="json")
+def _add_max_tables(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-tables", type=int, default=DEFAULT_MAX_TABLES)
+
+
+def _add_max_bits(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS)
+
+
+def _add_family_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--a", type=int, default=None)
+    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--b", type=int, default=None)
 
 
 def _add_partition_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", default=None, metavar="PARTS")
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
+    _add_family_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,22 +231,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="enumerate Tab(alpha, beta)")
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
-    _add_common(p)
+    _add_max_tables(p)
     p.set_defaults(fn=cmd_tables)
 
     p = sub.add_parser("rel-dim", help="dimension of the relevant space")
     _add_partition_flags(p)
-    _add_common(p)
+    _add_max_tables(p)
     p.set_defaults(fn=cmd_rel_dim)
 
     p = sub.add_parser("end-dim", help="oracle endomorphism dimension")
     _add_partition_flags(p)
-    _add_common(p)
+    _add_max_bits(p)
     p.set_defaults(fn=cmd_end_dim)
 
     p = sub.add_parser("verify", help="verify the parity theorem for a family")
-    _add_partition_flags(p)
-    _add_common(p)
+    _add_family_flags(p)
+    _add_max_tables(p)
+    _add_max_bits(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("scan", help="scan staircase families")
@@ -264,20 +255,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parity", choices=["match", "mismatch", "all"], default="match")
     p.add_argument("--cache", default=None)
     p.add_argument("--force", action="store_true")
-    _add_common(p)
+    _add_max_tables(p)
+    _add_max_bits(p)
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("dump-relations", help="dump a relation system as JSON")
     _add_partition_flags(p)
-    _add_common(p)
+    _add_max_tables(p)
     p.set_defaults(fn=cmd_dump_relations)
 
     p = sub.add_parser("paper-examples", help="run the frozen worked examples")
-    _add_common(p)
     p.set_defaults(fn=cmd_paper_examples)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
-    _add_common(p)
     p.set_defaults(fn=cmd_selftest)
 
     return ap

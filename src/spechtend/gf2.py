@@ -218,46 +218,6 @@ class TaggedEchelon:
 
 
 @dataclass(frozen=True)
-class RrefResult:
-    matrix: Gf2Matrix
-    pivots: Tuple[int, ...]
-    rank: int
-
-
-def rref(M: Gf2Matrix) -> RrefResult:
-    """Reduced row-echelon form; pivot columns are 0-based and increasing."""
-    ech = Echelon()
-    for r in M.rows:
-        ech.insert(r)
-    piv = ech.pivots
-    # clear pivot columns from the other pivot rows, lowest pivot last
-    for p in sorted(piv, reverse=True):
-        row = piv[p]
-        scan = row & ~((1 << (p + 1)) - 1)
-        while scan:
-            c = (scan & -scan).bit_length() - 1
-            other = piv.get(c)
-            if other is not None and c != p:
-                row ^= other
-                scan = row & ~((1 << (c + 1)) - 1)
-            else:
-                scan ^= scan & -scan
-        piv[p] = row
-    cols = sorted(piv)
-    rows = [piv[c] for c in cols]
-    rows += [0] * (M.nrows - len(rows))
-    return RrefResult(Gf2Matrix(rows, M.ncols), tuple(cols), len(cols))
-
-
-def nullspace_basis(M: Gf2Matrix) -> List[Gf2Vector]:
-    """Canonical basis of {v : M v = 0}."""
-    ech = Echelon()
-    for r in M.rows:
-        ech.insert(r)
-    return [Gf2Vector(x, M.ncols) for x in ech.nullspace(M.ncols)]
-
-
-@dataclass(frozen=True)
 class SparseKernel:
     """The result of `sparse_nullspace` and the counters of its solve.
 

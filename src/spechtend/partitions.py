@@ -48,10 +48,6 @@ class Composition:
     def width(self) -> int:
         return len(self._parts)
 
-    def trimmed(self) -> "Composition":
-        """Drop trailing zero parts."""
-        return Composition(self._parts[: self.length])
-
     def shifted(self, i: int, j: int, k: int) -> "Composition":
         """Add k to part i and subtract k from part j (1-based indices)."""
         if not (1 <= i <= self.width and 1 <= j <= self.width):

@@ -106,18 +106,12 @@ class RelationSystem:
     alpha: Composition
     beta: Composition
     tables: List[TabMatrix]
-    index: Dict[TabMatrix, int]
     rows: List[Tuple[int, ...]]
-    provenance: List[str]
 
     def row_ints(self) -> Iterator[int]:
         """Each row as a bit int, made on demand: at 10^5 rows over 10^4
         columns the ints together take far more memory than the tuples."""
         return (sum(1 << c for c in row) for row in self.rows)
-
-
-def _lists(A: Table) -> List[List[int]]:
-    return [list(row) for row in A]
 
 
 def relation_system(
@@ -129,37 +123,41 @@ def relation_system(
 
     The C rows are the R rows of (beta, alpha) with every table transposed,
     so they are built that way and their tables are looked up by transposed
-    entries.  Each distinct row keeps the provenance of its first
-    occurrence: R blocks before C blocks, (i, j) ascending and, within a
-    block, the source table ascending.  max_tables also caps the shifted
-    enumerations behind every block.
+    entries.  The rows are distinct and sorted.  max_tables also caps the
+    shifted enumerations behind every block.
     """
     tables = enumerate_tables(alpha, beta, max_tables=max_tables)
     col = {A.entries: c for c, A in enumerate(tables)}
     col_t = {_transpose(T): c for T, c in col.items()}
-    seen: Dict[Tuple[int, ...], str] = {}
-    for i in range(1, alpha.width + 1):
-        for j in range(i + 1, alpha.width + 1):
-            for targets, B in build_R_rows(alpha, beta, i, j, max_tables):
-                key = tuple(sorted([col[T] for T in targets]))
-                if key not in seen:
-                    seen[key] = f"R({i},{j}) B={_lists(B)}"
-    for i in range(1, beta.width + 1):
-        for j in range(i + 1, beta.width + 1):
-            block = [
-                (_transpose(B), targets)
-                for targets, B in build_R_rows(beta, alpha, i, j, max_tables)
-            ]
-            block.sort(key=lambda row: row[0])
-            for D, targets in block:
-                key = tuple(sorted([col_t[T] for T in targets]))
-                if key not in seen:
-                    seen[key] = f"C({i},{j}) D={_lists(D)}"
-    rows = sorted(seen)
-    index = {A: c for c, A in enumerate(tables)}
-    return RelationSystem(
-        alpha, beta, tables, index, rows, [seen[r] for r in rows]
-    )
+    rows: Set[Tuple[int, ...]] = set()
+    for a, b, lookup in ((alpha, beta, col), (beta, alpha, col_t)):
+        for i in range(1, a.width + 1):
+            for j in range(i + 1, a.width + 1):
+                for targets, _ in build_R_rows(a, b, i, j, max_tables):
+                    rows.add(tuple(sorted([lookup[T] for T in targets])))
+    return RelationSystem(alpha, beta, tables, sorted(rows))
+
+
+def relation_provenance(sys: RelationSystem) -> List[str]:
+    """The block and source table that first built each row of sys.
+
+    Blocks come R before C, (i, j) ascending and, within a block, the source
+    table ascending; each row keeps the label of its first occurrence.  The
+    enumerations repeated here already passed max_tables when sys was built.
+    """
+    col = {A.entries: c for c, A in enumerate(sys.tables)}
+    first: Dict[Tuple[int, ...], str] = {}
+    for block, width, build, name in (
+        ("R", sys.alpha.width, build_R_rows, "B"),
+        ("C", sys.beta.width, build_C_rows, "D"),
+    ):
+        for i in range(1, width + 1):
+            for j in range(i + 1, width + 1):
+                for targets, S in build(sys.alpha, sys.beta, i, j):
+                    key = tuple(sorted([col[T] for T in targets]))
+                    if key not in first:
+                        first[key] = f"{block}({i},{j}) {name}={[list(r) for r in S]}"
+    return [first[row] for row in sys.rows]
 
 
 def relevance_system(
@@ -183,7 +181,6 @@ class RelevanceResult:
     dim: int
     basis: List[int]
     support: Set[TabMatrix]
-    tables: List[TabMatrix]
     rank: Optional[int] = None
     residual_rows: Optional[int] = None
     residual_cols: Optional[int] = None
@@ -199,7 +196,7 @@ def solve_relevance(sys: RelationSystem) -> RelevanceResult:
             if (v >> c) & 1:
                 support.add(sys.tables[c])
     return RelevanceResult(
-        len(kernel.basis), kernel.basis, support, sys.tables,
+        len(kernel.basis), kernel.basis, support,
         kernel.rank, kernel.residual_rows, kernel.residual_cols,
     )
 

@@ -11,7 +11,6 @@ from .gf2 import Echelon, mat_mul
 from .partitions import (
     Composition,
     Partition,
-    TabMatrix,
     enumerate_tables,
     order_compare,
     staircase_families,
@@ -19,7 +18,6 @@ from .partitions import (
 )
 from .relations import (
     build_Z_row,
-    relation_system,
     relevance_system,
     solve_relevance,
     transpose_hom,
@@ -130,6 +128,7 @@ def check_z_redundancy(max_r: int = 8) -> None:
         ech = Echelon()
         for r in sys.row_ints():
             ech.insert(r)
+        index = {A: c for c, A in enumerate(sys.tables)}
         for A in sys.tables:
             for j in range(1, fam.m + 1):
                 for k in range(1, fam.m + 1):
@@ -138,7 +137,7 @@ def check_z_redundancy(max_r: int = 8) -> None:
                     zrow = build_Z_row(A, j, k)
                     acc = 0
                     for T in zrow:
-                        acc |= 1 << sys.index[T]
+                        acc |= 1 << index[T]
                     if not ech.contains(acc):
                         raise AssertionError(
                             f"Z row not in R/C row space for family "

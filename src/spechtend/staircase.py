@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from .errors import CapExceeded, InternalError, InvalidParameter, ParityError, VerificationError
 from .gf2 import Gf2Matrix
 from .limits import DEFAULT_MAX_BITS, DEFAULT_MAX_TABLES
-from .partitions import StaircaseFamily, TabMatrix, enumerate_tables
+from .partitions import StaircaseFamily, TabMatrix
 from .relations import RelationSystem, RelevanceResult, relation_system, solve_relevance
 from .tabloids import end_dimension_oracle, rho_matrix
 
@@ -119,12 +119,6 @@ def iota_matrix(family: StaircaseFamily, max_bits: int = DEFAULT_MAX_BITS) -> Gf
     for v in range(m - 1, n):
         entries[m - 1][v] = 1
     return rho_matrix(TabMatrix(entries), max_bits)
-
-
-def flat_tables(
-    family: StaircaseFamily, max_tables: int = DEFAULT_MAX_TABLES
-) -> List[TabMatrix]:
-    return enumerate_tables(family.alpha, family.beta, max_tables=max_tables)
 
 
 def flat_relevance_system(

@@ -322,4 +322,4 @@ def solve_relevance_reference(sys):
         for c in range(n):
             if (v >> c) & 1:
                 support.add(sys.tables[c])
-    return RelevanceResult(len(basis), basis, support, sys.tables, ech.rank)
+    return RelevanceResult(len(basis), basis, support, ech.rank)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import pytest
 from spechtend import cli, gf2, partitions, relations, selftest, staircase
 from spechtend.errors import CapExceeded
 from spechtend.limits import DEFAULT_MAX_BITS
+
+from oracles import partitions_of
 
 
 def run(capsys, argv):
@@ -29,16 +32,6 @@ def test_tables_json(capsys):
     recs = json.loads(out)
     assert len(recs) == 3
     assert {"alpha": [4, 2], "beta": [3, 3], "entries": [[2, 2], [1, 1]]} in recs
-
-
-def test_tables_text(capsys):
-    code, out, _ = run(
-        capsys, ["tables", "--alpha", "2,1", "--beta", "2,1", "--format", "text"]
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "2"
-    assert "[[1, 1], [1, 0]]" in lines
 
 
 def test_rel_dim_lambda(capsys):
@@ -117,6 +110,48 @@ def test_threads_must_be_positive(capsys):
         assert "unrecognized arguments: --threads" in err
 
 
+BASE_ARGV = {
+    "tables": ["tables", "--alpha", "2,1", "--beta", "2,1"],
+    "rel-dim": ["rel-dim", "--lambda", "2,1"],
+    "end-dim": ["end-dim", "--lambda", "2,1"],
+    "verify": ["verify", "--a", "3", "--m", "2", "--b", "3"],
+    "scan": ["scan", "--max-r", "3"],
+    "dump-relations": ["dump-relations", "--lambda", "2,1"],
+    "paper-examples": ["paper-examples"],
+    "selftest": ["selftest"],
+}
+
+
+@pytest.mark.parametrize("cmd, flag, value", [
+    ("tables", "--max-bits", "1"),
+    ("rel-dim", "--max-bits", "1"),
+    ("dump-relations", "--max-bits", "1"),
+    ("end-dim", "--max-tables", "1"),
+    ("paper-examples", "--max-bits", "1"),
+    ("paper-examples", "--max-tables", "1"),
+    ("selftest", "--max-bits", "1"),
+    ("selftest", "--max-tables", "1"),
+    ("verify", "--lambda", "2,1"),
+] + [(cmd, "--format", "json") for cmd in BASE_ARGV])
+def test_unread_flags_are_refused(capsys, cmd, flag, value):
+    # each subcommand registers only the flags it reads
+    code, out, err = run(capsys, BASE_ARGV[cmd] + [flag, value])
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {flag} {value}" in err
+
+
+def test_lambda_and_family_flags_exclude_each_other(capsys):
+    for cmd in ("rel-dim", "end-dim", "dump-relations"):
+        both = BASE_ARGV[cmd] + ["--a", "3", "--m", "2", "--b", "3"]
+        code, out, err = run(capsys, both)
+        assert (code, out) == (2, ""), cmd
+        assert "not both" in err
+        code, out, err = run(capsys, [cmd])
+        assert (code, out) == (2, ""), cmd
+        assert "give either --lambda or --a/--m/--b" in err
+
+
 def test_max_tables_caps_shifted_enumerations(capsys):
     # (3,3,4) has 17 tables; the shifted enumeration behind its C(2,3) rows has 18
     argv = ["rel-dim", "--a", "3", "--m", "3", "--b", "4", "--max-tables"]
@@ -135,6 +170,24 @@ def test_dump_relations(capsys):
     assert rec["tables"] == [[[1, 1], [1, 0]], [[2, 0], [0, 1]]]
     assert rec["rows"] == [[1]]  # forces the coefficient of [[2,0],[0,1]] to zero
     assert len(rec["provenance"]) == 1
+
+
+def test_dump_relations_digest_r8_to_r10(capsys):
+    # the concatenated outputs for all 94 partitions with 8 <= r <= 10, frozen
+    # while the relation system still formatted its own provenance strings
+    digest = hashlib.sha256()
+    count = 0
+    for r in range(8, 11):
+        for parts in partitions_of(r):
+            lam = ",".join(map(str, parts))
+            code, out, _ = run(capsys, ["dump-relations", "--lambda", lam])
+            assert code == 0, lam
+            digest.update(out.encode())
+            count += 1
+    assert count == 94
+    assert digest.hexdigest() == (
+        "dfdd271705188b6a92bedfb9b334f874b18507a97d4141bf1a0c21aafc4ba504"
+    )
 
 
 def test_scan_deterministic_with_cache(tmp_path, capsys):

@@ -28,7 +28,6 @@ def test_composition_basics():
     assert c.degree == 5
     assert c.length == 3
     assert c.width == 4
-    assert c.trimmed().parts == (3, 0, 2)
     assert Composition(()).length == 0
 
 

@@ -6,13 +6,18 @@ import pytest
 from spechtend import partitions, staircase, tabloids, worked_examples
 from spechtend.errors import InternalError, InvalidParameter, ParityError, VerificationError
 from spechtend.gf2 import Echelon
-from spechtend.partitions import Composition, TabMatrix, staircase_families, staircase_family
+from spechtend.partitions import (
+    Composition,
+    TabMatrix,
+    enumerate_tables,
+    staircase_families,
+    staircase_family,
+)
 from spechtend.relations import RelevanceResult, relevance_system, solve_relevance
 from spechtend.staircase import (
     check_family,
     classify_structure,
     flat_relevance_system,
-    flat_tables,
     iota_expand,
     iota_matrix,
     omega_expand,
@@ -63,7 +68,7 @@ def test_omega_expand_counts():
 
 def test_expand_sizes_are_multinomials():
     for fam in staircase_families(8):
-        for B in flat_tables(fam):
+        for B in enumerate_tables(fam.alpha, fam.beta):
             assert len(pi_expand(B, fam)) == multinomial(
                 fam.b_prime, B.entries[fam.m - 1]
             )
@@ -197,7 +202,7 @@ def test_verify_rejects_parity_violation():
 
 def test_audit_rejects_empty_support():
     fam = staircase_family(2, 2, 1)
-    fake = RelevanceResult(0, [], set(), flat_tables(fam))
+    fake = RelevanceResult(0, [], set())
     with pytest.raises(VerificationError):
         structural_lemma_audit(fam, fake)
 
