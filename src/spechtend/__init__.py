@@ -18,14 +18,12 @@ from .partitions import (  # noqa: F401
     transpose,
     unit_exchange,
 )
-from .gf2 import Gf2Matrix, Gf2Vector, mat_mul  # noqa: F401
+from .gf2 import Gf2Matrix, mat_mul  # noqa: F401
 from .tabloids import (  # noqa: F401
     boundary_map,
     end_dimension_oracle,
     enumerate_tabloids,
-    equivariant_hom_dim,
     rho_matrix,
-    specht_kernel,
 )
 from .relations import (  # noqa: F401
     build_C_rows,

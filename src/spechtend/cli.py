@@ -68,8 +68,8 @@ def cmd_tables(args) -> int:
     beta = Composition(parse_parts(args.beta))
     tabs = enumerate_tables(alpha, beta, max_tables=args.max_tables)
     out = [
-        {"alpha": list(alpha.parts), "beta": list(beta.parts), "entries": A.to_lists()}
-        for A in tabs
+        {"alpha": list(alpha.parts), "beta": list(beta.parts), "entries": [list(r) for r in T]}
+        for T in tabs
     ]
     _emit(out)
     return EXIT_OK
@@ -121,21 +121,28 @@ def _load_cache(path: str) -> Dict[tuple, dict]:
     """Cached records keyed on (partition, version, max_bits)."""
     cache: Dict[tuple, dict] = {}
     try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    cache[rec["key"], rec.get("version"), rec.get("max_bits")] = rec
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    print(
-                        f"warning: skipping corrupt cache line {lineno}",
-                        file=sys.stderr,
-                    )
+        # undecodable bytes become U+FFFD, so their line is skipped as corrupt
+        fh = open(path, errors="replace")
     except FileNotFoundError:
-        pass
+        return cache
+    except OSError as exc:
+        raise InvalidParameter(f"cannot read cache {path}: {exc.strerror}") from exc
+    with fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                # a record must hold every field scan reads from it
+                if any(k not in rec for k in ("verdict", "a", "m", "b")):
+                    raise KeyError
+                cache[rec["key"], rec.get("version"), rec.get("max_bits")] = rec
+            except (json.JSONDecodeError, KeyError, TypeError):
+                print(
+                    f"warning: skipping corrupt cache line {lineno}",
+                    file=sys.stderr,
+                )
     return cache
 
 
@@ -147,7 +154,11 @@ def cmd_scan(args) -> int:
     elif args.parity == "mismatch":
         fams = [f for f in fams if not f.parity_ok]
     failed = False
-    with open(args.cache, "a") if args.cache else contextlib.nullcontext() as out:
+    try:
+        sink = open(args.cache, "a") if args.cache else contextlib.nullcontext()
+    except OSError as exc:
+        raise InvalidParameter(f"cannot append to cache {args.cache}: {exc.strerror}") from exc
+    with sink as out:
         for fam in fams:
             key = ",".join(str(p) for p in fam.lam.parts)
             rec = None if args.force else cache.get((key, __version__, args.max_bits))
@@ -179,7 +190,7 @@ def cmd_dump_relations(args) -> int:
     out = {
         "alpha": list(sysm.alpha.parts),
         "beta": list(sysm.beta.parts),
-        "tables": [A.to_lists() for A in sysm.tables],
+        "tables": [[list(r) for r in T] for T in sysm.tables],
         "rows": [list(row) for row in sysm.rows],
         "provenance": relation_provenance(sysm),
     }

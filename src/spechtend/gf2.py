@@ -22,25 +22,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from .errors import InvalidParameter
 
 
-@dataclass(frozen=True)
-class Gf2Vector:
-    bits: int
-    length: int
-
-    def __post_init__(self):
-        if self.bits < 0 or self.bits >> self.length:
-            raise InvalidParameter("vector bits exceed stated length")
-
-    def get(self, j: int) -> int:
-        return (self.bits >> j) & 1
-
-    def to_list(self) -> List[int]:
-        return [(self.bits >> j) & 1 for j in range(self.length)]
-
-    def support(self) -> Tuple[int, ...]:
-        return tuple(j for j in range(self.length) if (self.bits >> j) & 1)
-
-
 class Gf2Matrix:
     """Immutable dense GF(2) matrix stored as one int per row."""
 
@@ -56,18 +37,6 @@ class Gf2Matrix:
         self.ncols = ncols
 
     @classmethod
-    def from_dense(cls, entries: Sequence[Sequence[int]]) -> "Gf2Matrix":
-        ncols = len(entries[0]) if entries else 0
-        rows = []
-        for row in entries:
-            acc = 0
-            for j, v in enumerate(row):
-                if v & 1:
-                    acc |= 1 << j
-            rows.append(acc)
-        return cls(rows, ncols)
-
-    @classmethod
     def from_columns(cls, cols: Sequence[int], nrows: int) -> "Gf2Matrix":
         rows = [0] * nrows
         for j, c in enumerate(cols):
@@ -81,38 +50,6 @@ class Gf2Matrix:
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Gf2Matrix":
         return cls([0] * nrows, ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "Gf2Matrix":
-        return cls([1 << i for i in range(n)], n)
-
-    def get(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def column(self, j: int) -> int:
-        acc = 0
-        mask = 1 << j
-        for i, r in enumerate(self.rows):
-            if r & mask:
-                acc |= 1 << i
-        return acc
-
-    def transpose(self) -> "Gf2Matrix":
-        return Gf2Matrix.from_columns(list(self.rows), self.ncols)
-
-    def apply(self, v: int) -> int:
-        """Matrix times column vector (vector given as a bit int)."""
-        acc = 0
-        for i, r in enumerate(self.rows):
-            if (r & v).bit_count() & 1:
-                acc |= 1 << i
-        return acc
-
-    def is_zero(self) -> bool:
-        return all(r == 0 for r in self.rows)
-
-    def to_dense(self) -> List[List[int]]:
-        return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]
 
     def __eq__(self, other) -> bool:
         return (

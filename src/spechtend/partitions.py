@@ -1,10 +1,13 @@
 """Compositions, partitions, margin-constrained integer matrices and their moves.
 
+A table is a plain tuple of row tuples; `enumerate_tables` returns tables in
+that form and the relation engine works on them throughout.  TabMatrix is a
+validating view of one table, built only where code reads a table's
+structure: its margins, its transpose or its 1-based entries.
+
 Row/column indices in the public functions here are 1-based, matching the
 conventions used for serialized matrices.  Sequence access on Composition and
-TabMatrix is plain 0-based Python indexing.  The enumeration core works on
-plain tables, tuples of row tuples; TabMatrix wraps them where tables are
-handed out.
+TabMatrix is plain 0-based Python indexing.
 """
 from __future__ import annotations
 
@@ -197,15 +200,18 @@ def _row_fillings(n: int, caps: Tuple[int, ...]) -> List[Tuple[int, ...]]:
     ]
 
 
-def table_tuples(
+def enumerate_tables(
     alpha: Sequence[int], beta: Sequence[int], max_tables: Optional[int] = None
 ) -> List[Table]:
-    """Tab(alpha, beta) as tuples of row tuples, in ascending row-major order.
+    """Tab(alpha, beta): every table with row sums alpha and column sums beta.
 
+    Output is in ascending lexicographic order of the row-major entry
+    sequence; this is the canonical column order for relation systems.
     Raises CapExceeded once more than max_tables tables are found.
     """
+    alpha, beta = tuple(alpha), tuple(beta)
     if sum(alpha) != sum(beta):
-        raise DegreeMismatch(f"deg{tuple(alpha)} != deg{tuple(beta)}")
+        raise DegreeMismatch(f"deg{alpha} != deg{beta}")
     out: List[Table] = []
     last = len(alpha) - 1
     # (row sum, column room) -> [(row, column room left)]; the same states
@@ -215,9 +221,7 @@ def table_tuples(
     def emit(tables: List[Table]) -> None:
         out.extend(tables)
         if max_tables is not None and len(out) > max_tables:
-            raise CapExceeded(
-                f"more than {max_tables} tables for {tuple(alpha)}/{tuple(beta)}"
-            )
+            raise CapExceeded(f"more than {max_tables} tables for {alpha}/{beta}")
 
     def fill(i: int, col_rem: Tuple[int, ...], prefix: Table) -> None:
         key = (alpha[i], col_rem)
@@ -236,23 +240,10 @@ def table_tuples(
             emit([prefix + pair for pair in choices])
 
     if last < 1:
-        emit([(tuple(beta),) if alpha else ()])
+        emit([(beta,) if alpha else ()])
     else:
-        fill(0, tuple(beta), ())
+        fill(0, beta, ())
     return out
-
-
-def enumerate_tables(
-    alpha: Composition,
-    beta: Composition,
-    max_tables: Optional[int] = None,
-) -> List[TabMatrix]:
-    """All matrices with row sums alpha and column sums beta.
-
-    Output is in ascending lexicographic order of the row-major entry
-    sequence; this is the canonical column order for relation systems.
-    """
-    return [TabMatrix(t) for t in table_tuples(alpha.parts, beta.parts, max_tables)]
 
 
 def unit_exchange(A: TabMatrix, axis: str, i: int, j: int, k: int, l: int) -> TabMatrix:

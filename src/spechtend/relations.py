@@ -2,9 +2,11 @@
 
 The unknowns are coefficients h[A], one per A in Tab(alpha, beta); a
 homomorphism sum(h[A] rho[A]) is annihilated by the boundary maps exactly
-when the R and C rows built here vanish.  Inside the engine a table is a
-tuple of row tuples.  A row of a RelationSystem is the sorted tuple of the
-column indices (positions in `tables`) whose coefficient is odd.
+when the R and C rows built here vanish.  Tables are plain tuples of row
+tuples throughout: `RelationSystem.tables` holds them, and a row of a
+RelationSystem is the sorted tuple of the column indices (positions in
+`tables`) whose coefficient is odd.  Only the support of a solution and the
+critical Z rows are handed out as TabMatrix views.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from .partitions import (
     TabMatrix,
     Table,
     enumerate_tables,
-    table_tuples,
     transpose,
     unit_exchange,
 )
@@ -53,7 +54,7 @@ def _exchange_rows(
     shifted[i] += 1
     shifted[j] -= 1
     out: List[BuiltRow] = []
-    for B in table_tuples(shifted, beta, max_tables):
+    for B in enumerate_tables(shifted, beta, max_tables):
         bi, bj = B[i], B[j]
         targets = tuple(
             B[:i] + (bi[:l] + (v - 1,) + bi[l + 1:],)
@@ -105,7 +106,7 @@ def build_C_rows(
 class RelationSystem:
     alpha: Composition
     beta: Composition
-    tables: List[TabMatrix]
+    tables: List[Table]
     rows: List[Tuple[int, ...]]
 
     def row_ints(self) -> Iterator[int]:
@@ -127,7 +128,7 @@ def relation_system(
     shifted enumerations behind every block.
     """
     tables = enumerate_tables(alpha, beta, max_tables=max_tables)
-    col = {A.entries: c for c, A in enumerate(tables)}
+    col = {T: c for c, T in enumerate(tables)}
     col_t = {_transpose(T): c for T, c in col.items()}
     rows: Set[Tuple[int, ...]] = set()
     for a, b, lookup in ((alpha, beta, col), (beta, alpha, col_t)):
@@ -145,7 +146,7 @@ def relation_provenance(sys: RelationSystem) -> List[str]:
     table ascending; each row keeps the label of its first occurrence.  The
     enumerations repeated here already passed max_tables when sys was built.
     """
-    col = {A.entries: c for c, A in enumerate(sys.tables)}
+    col = {T: c for c, T in enumerate(sys.tables)}
     first: Dict[Tuple[int, ...], str] = {}
     for block, width, build, name in (
         ("R", sys.alpha.width, build_R_rows, "B"),
@@ -194,7 +195,7 @@ def solve_relevance(sys: RelationSystem) -> RelevanceResult:
     for v in kernel.basis:
         for c in range(n):
             if (v >> c) & 1:
-                support.add(sys.tables[c])
+                support.add(TabMatrix(sys.tables[c]))
     return RelevanceResult(
         len(kernel.basis), kernel.basis, support,
         kernel.rank, kernel.residual_rows, kernel.residual_cols,
@@ -235,12 +236,12 @@ def build_Z_row(A: TabMatrix, j: int, k: int) -> FrozenSet[TabMatrix]:
 
 
 def transpose_hom(
-    x: int, tables: Sequence[TabMatrix], tables_t: Sequence[TabMatrix]
+    x: int, tables: Sequence[Table], tables_t: Sequence[Table]
 ) -> int:
     """Push a coefficient vector through entrywise transposition of tables."""
-    index_t = {A: c for c, A in enumerate(tables_t)}
+    index_t = {T: c for c, T in enumerate(tables_t)}
     out = 0
-    for c, A in enumerate(tables):
+    for c, T in enumerate(tables):
         if (x >> c) & 1:
-            out |= 1 << index_t[A.transpose()]
+            out |= 1 << index_t[_transpose(T)]
     return out

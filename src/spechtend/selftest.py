@@ -9,8 +9,8 @@ from typing import Dict, List, Tuple
 
 from .gf2 import Echelon, mat_mul
 from .partitions import (
-    Composition,
     Partition,
+    TabMatrix,
     enumerate_tables,
     order_compare,
     staircase_families,
@@ -54,12 +54,12 @@ def check_oracle_equivalence(max_r: int = 5) -> None:
     """Relations-engine Rel dim == materialized Rel dim; 1 <= End <= Rel."""
     for lam in all_partitions(max_r):
         rel = solve_relevance(relevance_system(lam))
-        mat_dim, _, _ = hom_solution_space(lam, adjacent=False)
+        mat_dim, _ = hom_solution_space(lam, adjacent=False)
         if rel.dim != mat_dim:
             raise AssertionError(
                 f"oracle equivalence failed for {lam.parts}: {rel.dim} != {mat_dim}"
             )
-        end_dim, _, _ = hom_solution_space(lam, adjacent=True)
+        end_dim, _ = hom_solution_space(lam, adjacent=True)
         if not (1 <= end_dim <= rel.dim):
             raise AssertionError(
                 f"End bound failed for {lam.parts}: end={end_dim}, rel={rel.dim}"
@@ -70,8 +70,7 @@ def check_composition_closed_form(max_r: int = 5) -> None:
     """rho[A] . phi-bar = sum of neighbouring rho's, and the psi mirror."""
     for lam in all_partitions(max_r):
         lam_t = transpose(lam)
-        tables = enumerate_tables(Composition(lam_t.parts), Composition(lam.parts))
-        for A in tables:
+        for A in map(TabMatrix, enumerate_tables(lam_t, lam)):
             R = rho_matrix(A)
             for i in range(1, lam_t.length + 1):
                 for j in range(i + 1, lam_t.length + 1):
@@ -128,8 +127,8 @@ def check_z_redundancy(max_r: int = 8) -> None:
         ech = Echelon()
         for r in sys.row_ints():
             ech.insert(r)
-        index = {A: c for c, A in enumerate(sys.tables)}
-        for A in sys.tables:
+        index = {T: c for c, T in enumerate(sys.tables)}
+        for A in map(TabMatrix, sys.tables):
             for j in range(1, fam.m + 1):
                 for k in range(1, fam.m + 1):
                     if A.entry(j, k) == 0:
@@ -137,7 +136,7 @@ def check_z_redundancy(max_r: int = 8) -> None:
                     zrow = build_Z_row(A, j, k)
                     acc = 0
                     for T in zrow:
-                        acc |= 1 << index[T]
+                        acc |= 1 << index[T.entries]
                     if not ech.contains(acc):
                         raise AssertionError(
                             f"Z row not in R/C row space for family "

@@ -73,19 +73,15 @@ def iota_expand(B: TabMatrix, family: StaircaseFamily) -> List[TabMatrix]:
     """Expansion classes realizing iota_beta . rho[B] = sum of rho[A].
 
     B has column margins beta; the results agree with B on the first m-1
-    columns and distribute column m into b unit columns.
+    columns and distribute column m into b unit columns.  They are the pi
+    expansions of B^T in the swapped family, whose alpha is this beta,
+    transposed back.
     """
-    m = family.m
     if B.col_margins != family.beta:
         raise InvalidParameter(
             f"col margins {B.col_margins.parts} != beta {family.beta.parts}"
         )
-    cols = list(zip(*B.entries))
-    head = cols[: m - 1]
-    mats = [
-        TabMatrix(zip(*cols_out))
-        for cols_out in _distribute_rows(head, cols[m - 1], family.b)
-    ]
+    mats = [A.transpose() for A in pi_expand(B.transpose(), family.swapped())]
     return sorted(mats, key=lambda A: A.entries)
 
 
@@ -97,8 +93,8 @@ def omega_expand(B: TabMatrix, family: StaircaseFamily) -> List[TabMatrix]:
     return sorted(out, key=lambda A: A.entries)
 
 
-def pi_matrix(family: StaircaseFamily, max_bits: int = DEFAULT_MAX_BITS) -> Gf2Matrix:
-    """pi_alpha : M(lam') -> M(alpha), merging the last b' blocks into block m."""
+def _pi_table(family: StaircaseFamily) -> TabMatrix:
+    """The table whose rho is pi_alpha: the last b' rows of lam' go to row m."""
     m = family.m
     n = family.lam_t.length
     entries = [[0] * m for _ in range(n)]
@@ -106,19 +102,20 @@ def pi_matrix(family: StaircaseFamily, max_bits: int = DEFAULT_MAX_BITS) -> Gf2M
         entries[u][u] = family.alpha[u]
     for u in range(m - 1, n):
         entries[u][m - 1] = 1
-    return rho_matrix(TabMatrix(entries), max_bits)
+    return TabMatrix(entries)
+
+
+def pi_matrix(family: StaircaseFamily, max_bits: int = DEFAULT_MAX_BITS) -> Gf2Matrix:
+    """pi_alpha : M(lam') -> M(alpha), merging the last b' blocks into block m."""
+    return rho_matrix(_pi_table(family), max_bits)
 
 
 def iota_matrix(family: StaircaseFamily, max_bits: int = DEFAULT_MAX_BITS) -> Gf2Matrix:
-    """iota_beta : M(beta) -> M(lam), splitting block m into b singleton blocks."""
-    m = family.m
-    n = family.lam.length
-    entries = [[0] * n for _ in range(m)]
-    for u in range(m - 1):
-        entries[u][u] = family.beta[u]
-    for v in range(m - 1, n):
-        entries[m - 1][v] = 1
-    return rho_matrix(TabMatrix(entries), max_bits)
+    """iota_beta : M(beta) -> M(lam), splitting block m into b singleton blocks.
+
+    Its table is the transposed pi table of the swapped family.
+    """
+    return rho_matrix(_pi_table(family.swapped()).transpose(), max_bits)
 
 
 def flat_relevance_system(
@@ -126,22 +123,6 @@ def flat_relevance_system(
 ) -> RelationSystem:
     """The R/C system on m x m tables; nullspace dim = dim of the relevant space."""
     return relation_system(family.alpha, family.beta, max_tables)
-
-
-def omega_lift(
-    x: int,
-    flat_sys: RelationSystem,
-    family: StaircaseFamily,
-    full_tables: Sequence[TabMatrix],
-) -> int:
-    """Lift a flat solution to the full table index set via Omega classes."""
-    index = {A: c for c, A in enumerate(full_tables)}
-    out = 0
-    for c, B in enumerate(flat_sys.tables):
-        if (x >> c) & 1:
-            for A in omega_expand(B, family):
-                out |= 1 << index[A]
-    return out
 
 
 def tau(i: int, m: int) -> int:

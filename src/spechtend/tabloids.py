@@ -10,10 +10,10 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .errors import CapExceeded, InternalError, InvalidParameter
-from .gf2 import Echelon, Gf2Matrix, Gf2Vector, TaggedEchelon, mat_mul
+from .gf2 import Gf2Matrix, TaggedEchelon, mat_mul
 from .limits import DEFAULT_MAX_BITS
 from .partitions import Composition, Partition, TabMatrix, enumerate_tables
 
@@ -45,9 +45,6 @@ class TabloidBasis:
     @property
     def dim(self) -> int:
         return len(self.elements)
-
-    def rank(self, x: Tabloid) -> int:
-        return self.index[x]
 
 
 def _enumerate(parts: Tuple[int, ...]) -> Iterable[Tabloid]:
@@ -83,20 +80,6 @@ def enumerate_tabloids(alpha: Composition, max_bits: int = DEFAULT_MAX_BITS) -> 
     if tabloid_dim(alpha) > max_bits:
         raise CapExceeded(f"tabloid basis of {alpha.parts} exceeds cap")
     return _basis_cached(alpha.parts)
-
-
-def sym_action(g: Sequence[int], x: Tabloid) -> Tabloid:
-    """Apply a permutation (g[e-1] = image of e) to every entry of x."""
-    r = sum(len(b) for b in x)
-    if sorted(g) != list(range(1, r + 1)):
-        raise InvalidParameter(f"not a permutation of 1..{r}: {g}")
-    return tuple(tuple(sorted(g[e - 1] for e in block)) for block in x)
-
-
-def perm_matrix(g: Sequence[int], basis: TabloidBasis) -> Gf2Matrix:
-    """Permutation matrix of g on M(alpha): column v holds g . x_v."""
-    cols = [1 << basis.rank(sym_action(g, x)) for x in basis.elements]
-    return Gf2Matrix.from_columns(cols, basis.dim)
 
 
 @lru_cache(maxsize=200_000)
@@ -179,93 +162,6 @@ def boundary_map(
     return rho_matrix(boundary_table(lam, kind, i, j, s), max_bits)
 
 
-def _psi_stack_bits(lam: Partition) -> int:
-    """Total bit size of the stacked psi system for the memory guard."""
-    n = lam.length
-    d = tabloid_dim(lam)
-    total = 0
-    for i in range(1, n):
-        for t in range(1, lam[i] + 1):
-            total += tabloid_dim(Composition(lam.parts).shifted(i, i + 1, t))
-    return d * total
-
-
-def specht_kernel(
-    lam: Partition, max_bits: int = DEFAULT_MAX_BITS
-) -> Tuple[int, List[Gf2Vector]]:
-    """Joint kernel in M(lam) of all psi-bar^(i,i+1,t), as (dim, basis).
-
-    The dimension equals the number of standard Young tableaux of shape lam.
-    """
-    if _psi_stack_bits(lam) > max_bits:
-        raise CapExceeded(f"stacked psi system for {lam.parts} exceeds the bit budget")
-    d = tabloid_dim(lam)
-    ech = Echelon()
-    for i in range(1, lam.length):
-        for t in range(1, lam[i] + 1):
-            psi = boundary_map(lam, "psi", i, i + 1, t, max_bits)
-            for row in psi.rows:
-                ech.insert(row)
-    basis = [Gf2Vector(x, d) for x in ech.nullspace(d)]
-    return d - ech.rank, basis
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.count = n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-            self.count -= 1
-
-
-def _generators(r: int) -> List[Tuple[int, ...]]:
-    if r <= 1:
-        return [tuple(range(1, r + 1))]
-    swap = (2, 1) + tuple(range(3, r + 1))
-    cycle = tuple(range(2, r + 1)) + (1,)
-    return [swap, cycle]
-
-
-def equivariant_hom_dim(
-    alpha: Composition, beta: Composition, max_bits: int = DEFAULT_MAX_BITS
-) -> int:
-    """dim of {H : H P_g = Q_g H for the generators g}.
-
-    Each constraint equates two coefficients of H, so the dimension is the
-    number of orbits of the diagonal generator action on coefficient cells.
-    """
-    if alpha.degree != beta.degree:
-        raise InvalidParameter("degree mismatch")
-    dom = enumerate_tabloids(alpha, max_bits)
-    cod = enumerate_tabloids(beta, max_bits)
-    da, db = dom.dim, cod.dim
-    if da * db > max_bits:
-        raise CapExceeded("coefficient grid exceeds the bit budget")
-    uf = _UnionFind(da * db)
-    for g in _generators(alpha.degree):
-        sig = [dom.rank(sym_action(g, x)) for x in dom.elements]
-        tau = [cod.rank(sym_action(g, y)) for y in cod.elements]
-        for u in range(db):
-            tu = tau[u] * da
-            base = u * da
-            for v in range(da):
-                uf.union(base + sig[v], tu + v)
-    return uf.count
-
-
 def _pack_rows(mats: Iterable[Gf2Matrix]) -> int:
     """Pack matrices row-major into one int, each row padded to whole bytes.
 
@@ -284,14 +180,14 @@ def hom_solution_space(
     lam: Partition,
     adjacent: bool,
     max_bits: int = DEFAULT_MAX_BITS,
-) -> Tuple[int, List[int], List[TabMatrix]]:
+) -> Tuple[int, List[int]]:
     """Coefficient vectors x over Tab(lam', lam) killed by the boundary maps.
 
     adjacent=True uses all phi-bar^(i,i+1,s) on the right and all
     psi-bar^(i,i+1,t) on the left (the End(Sp) characterization);
     adjacent=False uses the (i,j,1) maps for all i < j (the relevant space).
     Returns (dim, kernel basis as bit vectors over the canonical table
-    order, table list).
+    order).
     """
     from .partitions import transpose
 
@@ -300,9 +196,7 @@ def hom_solution_space(
     d_lamt = tabloid_dim(lam_t)
     if d_lam * d_lamt > max_bits:
         raise CapExceeded("rho materialization exceeds the bit budget")
-    tables = enumerate_tables(
-        Composition(lam_t.parts), Composition(lam.parts)
-    )
+    tables = enumerate_tables(lam_t, lam)
 
     if adjacent:
         phi_idx = [
@@ -342,26 +236,19 @@ def hom_solution_space(
 
     ech = TaggedEchelon()
     kernel: List[int] = []
-    for col, A in enumerate(tables):
-        R = rho_matrix(A, max_bits)
+    for col, T in enumerate(tables):
+        R = rho_matrix(TabMatrix(T), max_bits)
         acc = _pack_rows(itertools.chain(
             (mat_mul(R, phi) for phi in phis), (mat_mul(psi, R) for psi in psis)
         ))
         dep = ech.insert(acc, 1 << col)
         if dep is not None:
             kernel.append(dep)
-    return len(kernel), kernel, tables
+    return len(kernel), kernel
 
 
 def end_dimension_oracle(lam: Partition, max_bits: int = DEFAULT_MAX_BITS) -> int:
     """dim End(Sp(lam)) by brute-force materialization."""
-    dim, _, _ = hom_solution_space(lam, adjacent=True, max_bits=max_bits)
+    dim, _ = hom_solution_space(lam, adjacent=True, max_bits=max_bits)
     return dim
 
-
-def rel_dimension_materialized(
-    lam: Partition, max_bits: int = DEFAULT_MAX_BITS
-) -> int:
-    """dim of the relevant space by brute-force materialization."""
-    dim, _, _ = hom_solution_space(lam, adjacent=False, max_bits=max_bits)
-    return dim

@@ -6,6 +6,14 @@ import math
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
+from spechtend.errors import CapExceeded, InvalidParameter
+from spechtend.gf2 import Echelon, Gf2Matrix
+from spechtend.limits import DEFAULT_MAX_BITS
+from spechtend.partitions import Composition, TabMatrix, enumerate_tables, unit_exchange
+from spechtend.relations import RelevanceResult
+from spechtend.staircase import omega_expand
+from spechtend.tabloids import boundary_map, enumerate_tabloids, tabloid_dim
+
 
 def partitions_of(r: int) -> List[Tuple[int, ...]]:
     out: List[Tuple[int, ...]] = []
@@ -122,8 +130,6 @@ def rho_column_reference(
 
 def enumerate_tables_reference(alpha, beta):
     """Tab(alpha, beta) by recursive placement, in ascending row-major order."""
-    from spechtend.partitions import TabMatrix
-
     nr, nc = len(alpha), len(beta)
     out = []
     rows: List[Tuple[int, ...]] = []
@@ -232,8 +238,6 @@ def corollary_R_rows(tables, i, j):
     For a_jk != 0: (a_ik+1) h[A] = sum over l != k of a_il h[A'] where A' is
     the row exchange moving a unit from columns l to k between rows i and j.
     """
-    from spechtend.partitions import unit_exchange
-
     rows = set()
     for A in tables:
         for k in range(1, A.ncols + 1):
@@ -253,8 +257,6 @@ def corollary_R_rows(tables, i, j):
 
 def corollary_C_rows(tables, i, j):
     """The per-(A,k) form of the C relations, as sets of TabMatrix."""
-    from spechtend.partitions import unit_exchange
-
     rows = set()
     for A in tables:
         for k in range(1, A.nrows + 1):
@@ -309,9 +311,6 @@ def pack_rows_reference(mats) -> int:
 
 def solve_relevance_reference(sys):
     """The relevance solve by one `Echelon` over every row as a bit int."""
-    from spechtend.gf2 import Echelon
-    from spechtend.relations import RelevanceResult
-
     ech = Echelon()
     for r in sys.row_ints():
         ech.insert(r)
@@ -321,5 +320,131 @@ def solve_relevance_reference(sys):
     for v in basis:
         for c in range(n):
             if (v >> c) & 1:
-                support.add(sys.tables[c])
+                support.add(TabMatrix(sys.tables[c]))
     return RelevanceResult(len(basis), basis, support, ech.rank)
+
+
+# Gf2Matrix helpers the package itself does not need: dense round trips,
+# the identity, single columns and products with a vector.
+
+def gf2_from_dense(entries):
+    rows = [sum(1 << j for j, v in enumerate(row) if v & 1) for row in entries]
+    return Gf2Matrix(rows, len(entries[0]) if entries else 0)
+
+
+def gf2_identity(n):
+    return Gf2Matrix([1 << i for i in range(n)], n)
+
+
+def gf2_to_dense(M):
+    return [[(r >> j) & 1 for j in range(M.ncols)] for r in M.rows]
+
+
+def gf2_column(M, j):
+    return sum(((r >> j) & 1) << i for i, r in enumerate(M.rows))
+
+
+def gf2_transpose(M):
+    return Gf2Matrix.from_columns(list(M.rows), M.ncols)
+
+
+def gf2_apply(M, v):
+    """M times the column vector v, both as bit ints."""
+    return sum(((r & v).bit_count() & 1) << i for i, r in enumerate(M.rows))
+
+
+def tab_matrices(alpha, beta):
+    """Tab(alpha, beta) as TabMatrix views, for tests that read structure."""
+    return [TabMatrix(T) for T in enumerate_tables(alpha, beta)]
+
+
+# Module-theoretic references: the Specht kernel, the equivariant dimension
+# that the rho basis claim is checked against, and the symmetric group action
+# on tabloids.  The equivariant dimension never calls rho.
+
+def sym_action(g, x):
+    """Apply a permutation (g[e-1] = image of e) to every entry of tabloid x."""
+    r = sum(len(b) for b in x)
+    if sorted(g) != list(range(1, r + 1)):
+        raise InvalidParameter(f"not a permutation of 1..{r}: {g}")
+    return tuple(tuple(sorted(g[e - 1] for e in block)) for block in x)
+
+
+def perm_matrix(g, basis):
+    """Permutation matrix of g on M(alpha): column v holds g . x_v."""
+    cols = [1 << basis.index[sym_action(g, x)] for x in basis.elements]
+    return Gf2Matrix.from_columns(cols, basis.dim)
+
+
+def _psi_stack_bits(lam) -> int:
+    """Total bit size of the stacked psi system for the memory guard."""
+    total = 0
+    for i in range(1, lam.length):
+        for t in range(1, lam[i] + 1):
+            total += tabloid_dim(Composition(lam.parts).shifted(i, i + 1, t))
+    return tabloid_dim(lam) * total
+
+
+def specht_kernel(lam, max_bits=DEFAULT_MAX_BITS):
+    """Joint kernel in M(lam) of all psi-bar^(i,i+1,t), as (dim, basis ints).
+
+    The dimension equals the number of standard Young tableaux of shape lam.
+    """
+    if _psi_stack_bits(lam) > max_bits:
+        raise CapExceeded(f"stacked psi system for {lam.parts} exceeds the bit budget")
+    d = tabloid_dim(lam)
+    ech = Echelon()
+    for i in range(1, lam.length):
+        for t in range(1, lam[i] + 1):
+            for row in boundary_map(lam, "psi", i, i + 1, t, max_bits).rows:
+                ech.insert(row)
+    return d - ech.rank, ech.nullspace(d)
+
+
+def _generators(r: int) -> List[Tuple[int, ...]]:
+    if r <= 1:
+        return [tuple(range(1, r + 1))]
+    swap = (2, 1) + tuple(range(3, r + 1))
+    cycle = tuple(range(2, r + 1)) + (1,)
+    return [swap, cycle]
+
+
+def equivariant_hom_dim(alpha, beta) -> int:
+    """dim of {H : H P_g = Q_g H for the generators g}.
+
+    Each constraint equates two coefficients of H, so the dimension is the
+    number of orbits of the diagonal generator action on coefficient cells.
+    """
+    assert alpha.degree == beta.degree
+    dom = enumerate_tabloids(alpha)
+    cod = enumerate_tabloids(beta)
+    da, db = dom.dim, cod.dim
+    parent = list(range(da * db))
+    orbits = da * db
+    for g in _generators(alpha.degree):
+        sig = [dom.index[sym_action(g, x)] for x in dom.elements]
+        tau = [cod.index[sym_action(g, y)] for y in cod.elements]
+        for u in range(db):
+            tu = tau[u] * da
+            base = u * da
+            for v in range(da):
+                x, y = base + sig[v], tu + v
+                while parent[x] != x:  # find with path halving
+                    parent[x] = x = parent[parent[x]]
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x != y:
+                    parent[x] = y
+                    orbits -= 1
+    return orbits
+
+
+def omega_lift(x, flat_sys, family, full_tables) -> int:
+    """Lift a flat solution to the full table index set via Omega classes."""
+    index = {T: c for c, T in enumerate(full_tables)}
+    out = 0
+    for c, B in enumerate(flat_sys.tables):
+        if (x >> c) & 1:
+            for A in omega_expand(TabMatrix(B), family):
+                out |= 1 << index[A.entries]
+    return out

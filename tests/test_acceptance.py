@@ -30,7 +30,7 @@ from spechtend.staircase import (
     theorem_matrix,
     verify_parity_theorem,
 )
-from spechtend.tabloids import equivariant_hom_dim, rho_matrix, specht_kernel
+from spechtend.tabloids import _pack_rows, rho_matrix
 from spechtend.worked_examples import (
     CLASSIFIER_MATRIX,
     check_classifier,
@@ -38,7 +38,7 @@ from spechtend.worked_examples import (
     check_distribute_sets,
 )
 
-from oracles import partitions_of, syt_count
+from oracles import equivariant_hom_dim, partitions_of, specht_kernel, syt_count
 
 
 def _parity_families(max_r):
@@ -110,11 +110,7 @@ def test_criterion_06_rho_basis_claim_r6():
             assert equivariant_hom_dim(alpha, beta) == len(tables)
             ech = TaggedEchelon()
             for c, A in enumerate(tables):
-                R = rho_matrix(A)
-                acc, off = 0, 0
-                for row in R.rows:
-                    acc |= row << off
-                    off += R.ncols
+                acc = _pack_rows([rho_matrix(TabMatrix(A))])
                 assert ech.insert(acc, 1 << c) is None, (pa, pb, c)
             pairs += 1
     print(

@@ -215,11 +215,31 @@ def test_scan_parity_mismatch_filter(capsys):
 
 def test_scan_skips_corrupt_cache_lines(tmp_path, capsys):
     cache = tmp_path / "scan.jsonl"
-    cache.write_text("this is not json\n")
+    cache.write_bytes(b"this is not json\n\xff\xfe not utf-8\n")
     code, out, err = run(capsys, ["scan", "--max-r", "4", "--cache", str(cache)])
     assert code == 0
-    assert "corrupt cache line 1" in err
+    assert "corrupt cache line 1" in err and "corrupt cache line 2" in err
     assert out.strip()
+
+
+def test_scan_skips_cache_records_missing_fields(tmp_path, capsys):
+    cache = tmp_path / "scan.jsonl"
+    rec = {"key": "2,1", "version": "0.1.0", "max_bits": DEFAULT_MAX_BITS}
+    cache.write_text(json.dumps(rec) + "\n"
+                     + json.dumps(dict(rec, verdict=["x"])) + "\n")
+    code, out, err = run(capsys, ["scan", "--max-r", "3", "--parity", "all",
+                                  "--cache", str(cache)])
+    assert code == 0
+    assert "corrupt cache line 1" in err and "corrupt cache line 2" in err
+    # the family was computed afresh and appended after the two bad lines
+    assert _lines(cache.read_text())[2:] == _lines(out)
+
+
+def test_scan_unusable_cache_path_is_a_usage_error(tmp_path, capsys):
+    for path in (tmp_path, tmp_path / "missing" / "scan.jsonl"):
+        code, out, err = run(capsys, ["scan", "--max-r", "3", "--cache", str(path)])
+        assert (code, out) == (2, ""), path
+        assert err.startswith("error: cannot") and "Traceback" not in err
 
 
 def test_paper_examples(capsys):

@@ -6,13 +6,19 @@ from spechtend.errors import InvalidParameter
 from spechtend.gf2 import (
     Echelon,
     Gf2Matrix,
-    Gf2Vector,
     TaggedEchelon,
     mat_mul,
     sparse_nullspace,
 )
 
-from oracles import naive_gf2_mul
+from oracles import (
+    gf2_apply,
+    gf2_from_dense,
+    gf2_identity,
+    gf2_to_dense,
+    gf2_transpose,
+    naive_gf2_mul,
+)
 
 
 def random_dense(rng, n, m):
@@ -21,15 +27,15 @@ def random_dense(rng, n, m):
 
 def test_identity_neutral():
     rng = random.Random(7)
-    A = Gf2Matrix.from_dense(random_dense(rng, 5, 5))
-    assert mat_mul(A, Gf2Matrix.identity(5)) == A
-    assert mat_mul(Gf2Matrix.identity(5), A) == A
+    A = gf2_from_dense(random_dense(rng, 5, 5))
+    assert mat_mul(A, gf2_identity(5)) == A
+    assert mat_mul(gf2_identity(5), A) == A
 
 
 def test_mat_mul_2x2():
-    A = Gf2Matrix.from_dense([[1, 1], [0, 1]])
-    B = Gf2Matrix.from_dense([[1, 0], [1, 1]])
-    assert mat_mul(A, B).to_dense() == [[0, 1], [1, 1]]
+    A = gf2_from_dense([[1, 1], [0, 1]])
+    B = gf2_from_dense([[1, 0], [1, 1]])
+    assert gf2_to_dense(mat_mul(A, B)) == [[0, 1], [1, 1]]
 
 
 def test_mat_mul_matches_naive():
@@ -37,8 +43,8 @@ def test_mat_mul_matches_naive():
     for _ in range(5):
         a = random_dense(rng, 20, 20)
         b = random_dense(rng, 20, 20)
-        got = mat_mul(Gf2Matrix.from_dense(a), Gf2Matrix.from_dense(b))
-        assert got.to_dense() == naive_gf2_mul(a, b)
+        got = mat_mul(gf2_from_dense(a), gf2_from_dense(b))
+        assert gf2_to_dense(got) == naive_gf2_mul(a, b)
 
 
 def test_mat_mul_dimension_mismatch():
@@ -47,45 +53,39 @@ def test_mat_mul_dimension_mismatch():
 
 
 def nullspace(M):
-    """The canonical kernel basis of M as vectors, and the rank of M."""
+    """The canonical kernel basis of M as bit ints, and the rank of M."""
     ech = Echelon()
     for r in M.rows:
         ech.insert(r)
-    return [Gf2Vector(x, M.ncols) for x in ech.nullspace(M.ncols)], ech.rank
+    return ech.nullspace(M.ncols), ech.rank
 
 
 def test_nullspace_identity_empty():
-    assert nullspace(Gf2Matrix.identity(5))[0] == []
+    assert nullspace(gf2_identity(5))[0] == []
 
 
 def test_nullspace_forced():
-    basis, _ = nullspace(Gf2Matrix.from_dense([[1, 1]]))
-    assert [v.to_list() for v in basis] == [[1, 1]]
+    basis, _ = nullspace(gf2_from_dense([[1, 1]]))
+    assert basis == [0b11]
 
 
 def test_nullspace_properties_random():
     rng = random.Random(99)
-    M = Gf2Matrix.from_dense(random_dense(rng, 30, 40))
+    M = gf2_from_dense(random_dense(rng, 30, 40))
     basis, rank = nullspace(M)
     assert len(basis) == 40 - rank  # rank + nullity = cols
     for v in basis:
-        assert M.apply(v.bits) == 0
+        assert gf2_apply(M, v) == 0
     ech = Echelon()
     for v in basis:
-        assert ech.insert(v.bits)  # linearly independent
-
-
-def test_vector_validation():
-    with pytest.raises(InvalidParameter):
-        Gf2Vector(0b100, 2)
-    assert Gf2Vector(0b101, 3).support() == (0, 2)
+        assert ech.insert(v)  # linearly independent
 
 
 def test_from_columns_transpose_roundtrip():
     rng = random.Random(3)
-    M = Gf2Matrix.from_dense(random_dense(rng, 6, 9))
-    assert M.transpose().transpose() == M
-    assert M.transpose().to_dense() == [list(col) for col in zip(*M.to_dense())]
+    M = gf2_from_dense(random_dense(rng, 6, 9))
+    assert gf2_transpose(gf2_transpose(M)) == M
+    assert gf2_to_dense(gf2_transpose(M)) == [list(col) for col in zip(*gf2_to_dense(M))]
 
 
 def test_echelon_contains():

@@ -15,7 +15,7 @@ from spechtend.partitions import (
     unit_exchange,
 )
 
-from oracles import conjugate, count_tables_brute, partitions_of
+from oracles import conjugate, count_tables_brute, partitions_of, tab_matrices
 
 
 small_partitions = st.integers(1, 7).flatmap(
@@ -112,18 +112,18 @@ def test_staircase_families_ordering():
 
 def test_enumerate_tables_permutation_case():
     got = enumerate_tables(Composition((1, 1)), Composition((1, 1)))
-    assert [A.to_lists() for A in got] == [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]
+    assert got == [((0, 1), (1, 0)), ((1, 0), (0, 1))]
 
 
 def test_enumerate_tables_2x2():
     got = enumerate_tables(Composition((2, 1)), Composition((2, 1)))
-    assert {A.entries for A in got} == {((1, 1), (1, 0)), ((2, 0), (0, 1))}
+    assert set(got) == {((1, 1), (1, 0)), ((2, 0), (0, 1))}
 
 
 def test_enumerate_tables_count_3():
     got = enumerate_tables(Composition((4, 2)), Composition((3, 3)))
     assert len(got) == 3
-    assert TabMatrix([[2, 2], [1, 1]]) in got
+    assert ((2, 2), (1, 1)) in got
 
 
 def test_enumerate_tables_degree_mismatch():
@@ -145,16 +145,16 @@ def test_enumerate_tables_properties(alpha, beta):
     if alpha.degree != beta.degree or alpha.degree > 8:
         return
     tabs = enumerate_tables(alpha, beta)
-    seqs = [sum(A.entries, ()) for A in tabs]
+    seqs = [sum(A, ()) for A in tabs]
     assert seqs == sorted(seqs)
     assert len(set(seqs)) == len(seqs)
-    for A in tabs:
+    for A in map(TabMatrix, tabs):
         assert A.row_margins == alpha
         assert A.col_margins == beta
     assert len(tabs) == count_tables_brute(alpha.parts, beta.parts)
     # entrywise transposition is a bijection onto the swapped-margin set
     back = enumerate_tables(beta, alpha)
-    assert {A.transpose() for A in tabs} == set(back)
+    assert {tuple(zip(*A)) for A in tabs} == set(back)
 
 
 def test_unit_exchange_noop_when_l_equals_k():
@@ -196,7 +196,7 @@ def test_order_compare_reflexive():
 
 
 def test_order_compare_total_order():
-    tabs = enumerate_tables(Composition((3, 2, 1)), Composition((2, 2, 2)))
+    tabs = tab_matrices(Composition((3, 2, 1)), Composition((2, 2, 2)))
     for mode in ("row", "col"):
         for A in tabs:
             for B in tabs:
@@ -215,7 +215,7 @@ def test_order_compare_total_order():
 
 
 def test_order_compare_two_element_set():
-    tabs = enumerate_tables(Composition((2, 1)), Composition((2, 1)))
+    tabs = tab_matrices(Composition((2, 1)), Composition((2, 1)))
     c = order_compare(tabs[0], tabs[1], "row")
     assert c != 0
     assert order_compare(tabs[1], tabs[0], "row") == -c

@@ -9,7 +9,6 @@ from spechtend.gf2 import Echelon
 from spechtend.partitions import (
     Composition,
     TabMatrix,
-    enumerate_tables,
     staircase_families,
     staircase_family,
 )
@@ -21,7 +20,6 @@ from spechtend.staircase import (
     iota_expand,
     iota_matrix,
     omega_expand,
-    omega_lift,
     pi_expand,
     pi_matrix,
     structural_lemma_audit,
@@ -30,7 +28,7 @@ from spechtend.staircase import (
     verify_parity_theorem,
 )
 
-from oracles import distribute_rows_reference, multinomial
+from oracles import distribute_rows_reference, multinomial, omega_lift, tab_matrices
 
 
 def test_tau_reverses_rows():
@@ -68,7 +66,7 @@ def test_omega_expand_counts():
 
 def test_expand_sizes_are_multinomials():
     for fam in staircase_families(8):
-        for B in enumerate_tables(fam.alpha, fam.beta):
+        for B in tab_matrices(fam.alpha, fam.beta):
             assert len(pi_expand(B, fam)) == multinomial(
                 fam.b_prime, B.entries[fam.m - 1]
             )

@@ -7,26 +7,32 @@ from hypothesis import strategies as st
 from spechtend import tabloids
 from spechtend.errors import CapExceeded, InvalidParameter, VerificationError
 from spechtend.gf2 import Echelon, Gf2Matrix, mat_mul
-from spechtend.partitions import Composition, Partition, TabMatrix, enumerate_tables
+from spechtend.partitions import Composition, Partition, TabMatrix
 from spechtend.tabloids import (
     boundary_map,
     boundary_table,
     end_dimension_oracle,
     enumerate_tabloids,
-    equivariant_hom_dim,
-    perm_matrix,
     rho_matrix,
-    specht_kernel,
-    sym_action,
     tabloid_dim,
 )
 
 from oracles import (
+    equivariant_hom_dim,
+    gf2_apply,
+    gf2_column,
+    gf2_identity,
+    gf2_to_dense,
+    gf2_transpose,
     multinomial,
     pack_rows_reference,
     partitions_of,
+    perm_matrix,
     rho_column_reference,
+    specht_kernel,
+    sym_action,
     syt_count,
+    tab_matrices,
 )
 
 
@@ -60,7 +66,7 @@ def test_dim_is_multinomial(parts):
     basis = enumerate_tabloids(alpha)
     assert basis.dim == multinomial(alpha.degree, parts)
     for i, x in enumerate(basis.elements):
-        assert basis.rank(x) == i
+        assert basis.index[x] == i
         assert tuple(len(b) for b in x) == alpha.parts
 
 
@@ -98,13 +104,13 @@ def test_sym_action_composition_law():
 
 def test_rho_diag_is_identity():
     A = TabMatrix([[3, 0], [0, 2]])
-    assert rho_matrix(A) == Gf2Matrix.identity(tabloid_dim(Composition((3, 2))))
+    assert rho_matrix(A) == gf2_identity(tabloid_dim(Composition((3, 2))))
 
 
 def test_rho_swap():
     A = TabMatrix([[0, 1], [1, 0]])
     got = rho_matrix(A)
-    assert got.to_dense() == [[0, 1], [1, 0]]
+    assert gf2_to_dense(got) == [[0, 1], [1, 0]]
 
 
 def test_rho_against_intersection_reference():
@@ -114,7 +120,7 @@ def test_rho_against_intersection_reference():
     got = rho_matrix(A)
     for v, x in enumerate(dom.elements):
         expect = rho_column_reference(A.entries, x, cod.elements)
-        assert got.column(v) == expect
+        assert gf2_column(got, v) == expect
         assert expect.bit_count() == 12  # C(4,2)*C(2,1) distinct images
 
 
@@ -131,7 +137,7 @@ def test_rho_equivariance():
         alpha, beta = Composition(pa), Composition(pb)
         dom = enumerate_tabloids(alpha)
         cod = enumerate_tabloids(beta)
-        for A in enumerate_tables(alpha, beta):
+        for A in tab_matrices(alpha, beta):
             R = rho_matrix(A)
             for g in gens(alpha.degree):
                 assert mat_mul(R, perm_matrix(g, dom)) == mat_mul(
@@ -143,8 +149,8 @@ def test_eta_duality_transpose_matrix():
     # the dual of rho[A] is rho of the transposed table
     for pa, pb in [((2, 1), (2, 1)), ((4, 2), (3, 3)), ((3, 1, 1), (2, 2, 1))]:
         alpha, beta = Composition(pa), Composition(pb)
-        for A in enumerate_tables(alpha, beta):
-            assert rho_matrix(A).transpose() == rho_matrix(A.transpose())
+        for A in tab_matrices(alpha, beta):
+            assert gf2_transpose(rho_matrix(A)) == rho_matrix(A.transpose())
 
 
 def test_boundary_tables():
@@ -156,20 +162,20 @@ def test_boundary_tables():
 def test_boundary_phi_example():
     got = boundary_map(Partition((2, 1)), "phi", 1, 2, 1)
     assert got.nrows == 3 and got.ncols == 1
-    assert got.to_dense() == [[1], [1], [1]]  # the all-ones column
+    assert gf2_to_dense(got) == [[1], [1], [1]]  # the all-ones column
 
 
 def test_boundary_psi_example():
     got = boundary_map(Partition((2, 1)), "psi", 1, 2, 1)
     assert got.nrows == 1 and got.ncols == 3
-    assert got.to_dense() == [[1, 1, 1]]
+    assert gf2_to_dense(got) == [[1, 1, 1]]
 
 
 def test_psi_phi_composite_vanishes():
     lam = Partition((1, 1))
     phi = boundary_map(lam, "phi", 1, 2, 1)
     psi = boundary_map(lam, "psi", 1, 2, 1)
-    assert mat_mul(psi, phi).is_zero()  # multiplication by 2 = 0
+    assert not any(mat_mul(psi, phi).rows)  # multiplication by 2 = 0
 
 
 def test_boundary_zero_map_beyond_length():
@@ -211,7 +217,7 @@ def test_specht_kernel_vectors_annihilated():
         for t in range(1, lam[i] + 1):
             psi = boundary_map(lam, "psi", i, i + 1, t)
             for v in basis:
-                assert psi.apply(v.bits) == 0
+                assert gf2_apply(psi, v) == 0
 
 
 def test_specht_cap():
@@ -263,7 +269,7 @@ def test_byte_packing_matches_reference_packing(monkeypatch):
     got = {case: tabloids.hom_solution_space(*case)[:2] for case in cases}
     monkeypatch.setattr(tabloids, "_pack_rows", pack_rows_reference)
     for case in cases:
-        dim, kernel, _ = tabloids.hom_solution_space(*case)
+        dim, kernel = tabloids.hom_solution_space(*case)
         assert got[case][0] == dim, case
         span = Echelon()
         for x in kernel + got[case][1]:
