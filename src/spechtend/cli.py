@@ -117,6 +117,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _verdict_fits(rec: dict) -> bool:
+    """A list of failure strings for a parity family, null for any other."""
+    verdict = rec["verdict"]
+    if (rec["a"] - rec["m"] - rec["b"]) % 2:
+        return verdict is None
+    return isinstance(verdict, list) and all(isinstance(v, str) for v in verdict)
+
+
 def _load_cache(path: str) -> Dict[tuple, dict]:
     """Cached records keyed on (partition, version, max_bits)."""
     cache: Dict[tuple, dict] = {}
@@ -134,11 +142,12 @@ def _load_cache(path: str) -> Dict[tuple, dict]:
                 continue
             try:
                 rec = json.loads(line)
-                # a record must hold every field scan reads from it
-                if any(k not in rec for k in ("verdict", "a", "m", "b")):
-                    raise KeyError
+                # a record must hold every field scan reads from it, with
+                # the verdict type this run would write for its family
+                if not _verdict_fits(rec):
+                    raise ValueError
                 cache[rec["key"], rec.get("version"), rec.get("max_bits")] = rec
-            except (json.JSONDecodeError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError):
                 print(
                     f"warning: skipping corrupt cache line {lineno}",
                     file=sys.stderr,

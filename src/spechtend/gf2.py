@@ -37,17 +37,6 @@ class Gf2Matrix:
         self.ncols = ncols
 
     @classmethod
-    def from_columns(cls, cols: Sequence[int], nrows: int) -> "Gf2Matrix":
-        rows = [0] * nrows
-        for j, c in enumerate(cols):
-            while c:
-                low = c & -c
-                i = low.bit_length() - 1
-                rows[i] |= 1 << j
-                c ^= low
-        return cls(rows, len(cols))
-
-    @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Gf2Matrix":
         return cls([0] * nrows, ncols)
 

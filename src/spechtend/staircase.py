@@ -11,43 +11,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import CapExceeded, InternalError, InvalidParameter, ParityError, VerificationError
 from .gf2 import Gf2Matrix
 from .limits import DEFAULT_MAX_BITS, DEFAULT_MAX_TABLES
-from .partitions import StaircaseFamily, TabMatrix
+from .partitions import StaircaseFamily, TabMatrix, enumerate_tables
 from .relations import RelationSystem, RelevanceResult, relation_system, solve_relevance
 from .tabloids import end_dimension_oracle, rho_matrix
-
-
-def _arrangements(counts: List[int]) -> Iterator[Tuple[int, ...]]:
-    """Distinct orderings of the multiset with counts[j] copies of j, in lex order."""
-    if not any(counts):
-        yield ()
-        return
-    for j, c in enumerate(counts):
-        if c:
-            counts[j] -= 1
-            for rest in _arrangements(counts):
-                yield (j,) + rest
-            counts[j] += 1
-
-
-def _distribute_rows(head: Sequence[Tuple[int, ...]], tail_counts: Sequence[int],
-                     nrows: int) -> List[Tuple[Tuple[int, ...], ...]]:
-    """All ways to append `nrows` unit rows whose column sums are tail_counts."""
-    ncols = len(tail_counts)
-    if sum(tail_counts) != nrows:
-        raise InternalError(
-            f"column sums {tuple(tail_counts)} do not fill {nrows} unit rows"
-        )
-    units = [tuple(int(j == k) for k in range(ncols)) for j in range(ncols)]
-    head = tuple(head)
-    return [
-        head + tuple(units[j] for j in arrangement)
-        for arrangement in _arrangements(list(tail_counts))
-    ]
 
 
 def pi_expand(B: TabMatrix, family: StaircaseFamily) -> List[TabMatrix]:
@@ -63,8 +34,8 @@ def pi_expand(B: TabMatrix, family: StaircaseFamily) -> List[TabMatrix]:
         )
     head = B.entries[: m - 1]
     mats = [
-        TabMatrix(rows)
-        for rows in _distribute_rows(head, B.entries[m - 1], family.b_prime)
+        TabMatrix(head + T)
+        for T in enumerate_tables((1,) * family.b_prime, B.entries[m - 1])
     ]
     return sorted(mats, key=lambda A: A.entries)
 

@@ -1,9 +1,12 @@
 """Permutation modules on tabloid bases and their homomorphism matrices.
 
 A tabloid for a composition alpha of r is an ordered sequence of disjoint
-sorted blocks partitioning {1..r}, block i of size alpha_i.  Matrices of
-maps between permutation modules use the column-vector convention: rows are
-indexed by the codomain basis, columns by the domain basis.
+blocks partitioning {1..r}, block i of size alpha_i.  Each block is an int
+bitmask in which bit e-1 stands for element e, so a tabloid is a tuple of
+block bitmasks.  The basis is ordered lexicographically on the concatenated
+sorted blocks.  Matrices of maps between permutation modules use the
+column-vector convention: rows are indexed by the codomain basis, columns by
+the domain basis.
 """
 from __future__ import annotations
 
@@ -15,9 +18,9 @@ from typing import Dict, Iterable, List, Tuple
 from .errors import CapExceeded, InternalError, InvalidParameter
 from .gf2 import Gf2Matrix, TaggedEchelon, mat_mul
 from .limits import DEFAULT_MAX_BITS
-from .partitions import Composition, Partition, TabMatrix, enumerate_tables
+from .partitions import Composition, Partition, TabMatrix, enumerate_tables, transpose
 
-Tabloid = Tuple[Tuple[int, ...], ...]
+Tabloid = Tuple[int, ...]
 
 
 def tabloid_dim(alpha: Composition) -> int:
@@ -34,7 +37,7 @@ class TabloidBasis:
     def __init__(self, alpha: Composition):
         self.alpha = alpha
         self.r = alpha.degree
-        self.elements: Tuple[Tabloid, ...] = tuple(_enumerate(alpha.parts))
+        self.elements: Tuple[Tabloid, ...] = _splits((1 << self.r) - 1, alpha.parts)
         self.index: Dict[Tabloid, int] = {x: i for i, x in enumerate(self.elements)}
         if len(self.elements) != tabloid_dim(alpha):
             raise InternalError(
@@ -47,28 +50,22 @@ class TabloidBasis:
         return len(self.elements)
 
 
-def _enumerate(parts: Tuple[int, ...]) -> Iterable[Tabloid]:
-    """All tabloids, lexicographic on the concatenated sorted blocks."""
-    r = sum(parts)
-    universe = tuple(range(1, r + 1))
+@lru_cache(maxsize=200_000)
+def _splits(block: int, sizes: Tuple[int, ...]) -> Tuple[Tabloid, ...]:
+    """Ordered splits of a block bitmask into pieces of the given sizes.
 
-    def rec(remaining: Tuple[int, ...], i: int, acc: List[Tuple[int, ...]]):
-        if i == len(parts):
-            yield tuple(acc)
-            return
-        for block in itertools.combinations(remaining, parts[i]):
-            chosen = set(block)
-            acc.append(block)
-            yield from rec(
-                tuple(e for e in remaining if e not in chosen), i + 1, acc
-            )
-            acc.pop()
-
-    if not parts:
-        if r == 0:
-            yield ()
-        return
-    yield from rec(universe, 0, [])
+    The order is lexicographic on the concatenated sorted pieces, so the
+    splits of {1..r} into alpha are the tabloid basis of M(alpha).
+    """
+    if not sizes:
+        return ((),) if not block else ()
+    singles = [1 << e for e in range(block.bit_length()) if block >> e & 1]
+    out = []
+    for piece in itertools.combinations(singles, sizes[0]):
+        head = sum(piece)
+        for tail in _splits(block ^ head, sizes[1:]):
+            out.append((head,) + tail)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -80,20 +77,6 @@ def enumerate_tabloids(alpha: Composition, max_bits: int = DEFAULT_MAX_BITS) -> 
     if tabloid_dim(alpha) > max_bits:
         raise CapExceeded(f"tabloid basis of {alpha.parts} exceeds cap")
     return _basis_cached(alpha.parts)
-
-
-@lru_cache(maxsize=200_000)
-def _row_splits(block: Tuple[int, ...], sizes: Tuple[int, ...]) -> Tuple:
-    """Ordered splits of a block into pieces of the given sizes."""
-    if not sizes:
-        return ((),) if not block else ()
-    out = []
-    for piece in itertools.combinations(block, sizes[0]):
-        chosen = set(piece)
-        rest = tuple(e for e in block if e not in chosen)
-        for tail in _row_splits(rest, sizes[1:]):
-            out.append((piece,) + tail)
-    return tuple(out)
 
 
 def rho_matrix(A: TabMatrix, max_bits: int = DEFAULT_MAX_BITS) -> Gf2Matrix:
@@ -111,16 +94,14 @@ def rho_matrix(A: TabMatrix, max_bits: int = DEFAULT_MAX_BITS) -> Gf2Matrix:
             f"rho matrix {cod.dim}x{dom.dim} exceeds the bit budget"
         )
     cod_rank = cod.index
-    cols = []
-    for x in dom.elements:
-        acc = 0
-        row_choices = [_row_splits(x[i], A.entries[i]) for i in range(A.nrows)]
-        for choice in itertools.product(*row_choices):
-            # zip(*choice) yields, per output block j, the pieces i -> j
-            y = tuple(tuple(sorted(itertools.chain(*pieces))) for pieces in zip(*choice))
-            acc ^= 1 << cod_rank[y]
-        cols.append(acc)
-    return Gf2Matrix.from_columns(cols, cod.dim)
+    rows = [0] * cod.dim
+    for v, x in enumerate(dom.elements):
+        bit = 1 << v
+        for choice in itertools.product(*map(_splits, x, A.entries)):
+            # zip(*choice) yields, per output block j, the pieces i -> j;
+            # they are disjoint, so their sum is their union
+            rows[cod_rank[tuple(map(sum, zip(*choice)))]] ^= bit
+    return Gf2Matrix(rows, dom.dim)
 
 
 def boundary_table(lam: Partition, kind: str, i: int, j: int, s: int) -> TabMatrix:
@@ -176,6 +157,14 @@ def _pack_rows(mats: Iterable[Gf2Matrix]) -> int:
     return int.from_bytes(b"".join(pieces), "little")
 
 
+def _boundary_indices(mu: Partition, adjacent: bool) -> List[Tuple[int, int, int]]:
+    """The (i, j, s) of the boundary maps on mu that hom_solution_space uses."""
+    n = mu.length
+    if adjacent:
+        return [(i, i + 1, s) for i in range(1, n) for s in range(1, mu[i] + 1)]
+    return [(i, j, 1) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
 def hom_solution_space(
     lam: Partition,
     adjacent: bool,
@@ -189,8 +178,6 @@ def hom_solution_space(
     Returns (dim, kernel basis as bit vectors over the canonical table
     order).
     """
-    from .partitions import transpose
-
     lam_t = transpose(lam)
     d_lam = tabloid_dim(lam)
     d_lamt = tabloid_dim(lam_t)
@@ -198,35 +185,12 @@ def hom_solution_space(
         raise CapExceeded("rho materialization exceeds the bit budget")
     tables = enumerate_tables(lam_t, lam)
 
-    if adjacent:
-        phi_idx = [
-            (i, i + 1, s)
-            for i in range(1, lam_t.length)
-            for s in range(1, lam_t[i] + 1)
-        ]
-        psi_idx = [
-            (i, i + 1, t)
-            for i in range(1, lam.length)
-            for t in range(1, lam[i] + 1)
-        ]
-    else:
-        phi_idx = [
-            (i, j, 1)
-            for i in range(1, lam_t.length + 1)
-            for j in range(i + 1, lam_t.length + 1)
-        ]
-        psi_idx = [
-            (i, j, 1)
-            for i in range(1, lam.length + 1)
-            for j in range(i + 1, lam.length + 1)
-        ]
+    phi_idx = _boundary_indices(lam_t, adjacent)
+    psi_idx = _boundary_indices(lam, adjacent)
     # honest size of the stacked vectorized system: one long bit vector per
     # table, concatenating every product matrix
-    vec_len = 0
-    for (i, j, s) in phi_idx:
-        vec_len += d_lam * tabloid_dim(Composition(lam_t.parts).shifted(i, j, s))
-    for (i, j, t) in psi_idx:
-        vec_len += d_lamt * tabloid_dim(Composition(lam.parts).shifted(i, j, t))
+    vec_len = (d_lam * sum(tabloid_dim(lam_t.shifted(*k)) for k in phi_idx)
+               + d_lamt * sum(tabloid_dim(lam.shifted(*k)) for k in psi_idx))
     if vec_len * max(1, len(tables)) > max_bits:
         raise CapExceeded(
             f"stacked solution system for {lam.parts} exceeds the bit budget"

@@ -96,10 +96,20 @@ def syt_count(shape: Tuple[int, ...]) -> int:
     return rec(tuple(shape))
 
 
+def blocks(x):
+    """A tabloid of block bitmasks as a tuple of sorted element tuples."""
+    return tuple(tuple(e + 1 for e in range(b.bit_length()) if b >> e & 1) for b in x)
+
+
+def masks(x):
+    """A tabloid of element tuples as a tuple of block bitmasks."""
+    return tuple(sum(1 << (e - 1) for e in block) for block in x)
+
+
 def rho_column_reference(
     A_entries: Sequence[Sequence[int]],
-    x: Tuple[Tuple[int, ...], ...],
-    cod_elements: Sequence[Tuple[Tuple[int, ...], ...]],
+    x: Tuple[int, ...],
+    cod_elements: Sequence[Tuple[int, ...]],
 ) -> int:
     """Image of a tabloid under rho[A], by intersection-pattern filtering.
 
@@ -107,12 +117,12 @@ def rho_column_reference(
     |x_i intersect y_j| = A[i][j] for all i, j: the splitting of x into
     pieces giving y is unique when it exists.
     """
+    x_sets = [set(xi) for xi in blocks(x)]
     acc = 0
     for idx, y in enumerate(cod_elements):
         ok = True
-        for i, xi in enumerate(x):
-            si = set(xi)
-            for j, yj in enumerate(y):
+        for i, si in enumerate(x_sets):
+            for j, yj in enumerate(blocks(y)):
                 if len(si & set(yj)) != A_entries[i][j]:
                     ok = False
                     break
@@ -121,6 +131,70 @@ def rho_column_reference(
         if ok:
             acc ^= 1 << idx
     return acc
+
+
+# The tuple-block rho that the bitmask one in spechtend.tabloids replaced,
+# kept as its differential reference: a tabloid is a tuple of sorted element
+# tuples, blocks are split by element combinations, each output block is
+# sorted, and the matrix is assembled from its columns.
+
+def _enumerate_reference(parts: Tuple[int, ...]):
+    """All tabloids, lexicographic on the concatenated sorted blocks."""
+    r = sum(parts)
+    universe = tuple(range(1, r + 1))
+
+    def rec(remaining: Tuple[int, ...], i: int, acc: List[Tuple[int, ...]]):
+        if i == len(parts):
+            yield tuple(acc)
+            return
+        for block in itertools.combinations(remaining, parts[i]):
+            chosen = set(block)
+            acc.append(block)
+            yield from rec(
+                tuple(e for e in remaining if e not in chosen), i + 1, acc
+            )
+            acc.pop()
+
+    if not parts:
+        if r == 0:
+            yield ()
+        return
+    yield from rec(universe, 0, [])
+
+
+@lru_cache(maxsize=None)
+def _basis_reference(parts: Tuple[int, ...]):
+    elements = tuple(_enumerate_reference(parts))
+    return elements, {x: i for i, x in enumerate(elements)}
+
+
+@lru_cache(maxsize=200_000)
+def _row_splits_reference(block: Tuple[int, ...], sizes: Tuple[int, ...]) -> Tuple:
+    """Ordered splits of a block into pieces of the given sizes."""
+    if not sizes:
+        return ((),) if not block else ()
+    out = []
+    for piece in itertools.combinations(block, sizes[0]):
+        chosen = set(piece)
+        rest = tuple(e for e in block if e not in chosen)
+        for tail in _row_splits_reference(rest, sizes[1:]):
+            out.append((piece,) + tail)
+    return tuple(out)
+
+
+def rho_matrix_reference(A):
+    """Matrix of rho[A] on tuple-block tabloids, column by column."""
+    dom, _ = _basis_reference(A.row_margins.parts)
+    cod, cod_rank = _basis_reference(A.col_margins.parts)
+    cols = []
+    for x in dom:
+        acc = 0
+        row_choices = [_row_splits_reference(x[i], A.entries[i]) for i in range(A.nrows)]
+        for choice in itertools.product(*row_choices):
+            y = tuple(tuple(sorted(itertools.chain(*pieces))) for pieces in zip(*choice))
+            acc ^= 1 << cod_rank[y]
+        cols.append(acc)
+    return gf2_from_columns(cols, len(cod))
 
 
 # The seed's relations engine, kept as the differential reference for the
@@ -344,8 +418,19 @@ def gf2_column(M, j):
     return sum(((r >> j) & 1) << i for i, r in enumerate(M.rows))
 
 
+def gf2_from_columns(cols, nrows):
+    """The matrix whose column j is the bit int cols[j]."""
+    rows = [0] * nrows
+    for j, c in enumerate(cols):
+        while c:
+            low = c & -c
+            rows[low.bit_length() - 1] |= 1 << j
+            c ^= low
+    return Gf2Matrix(rows, len(cols))
+
+
 def gf2_transpose(M):
-    return Gf2Matrix.from_columns(list(M.rows), M.ncols)
+    return gf2_from_columns(list(M.rows), M.ncols)
 
 
 def gf2_apply(M, v):
@@ -363,7 +448,11 @@ def tab_matrices(alpha, beta):
 # on tabloids.  The equivariant dimension never calls rho.
 
 def sym_action(g, x):
-    """Apply a permutation (g[e-1] = image of e) to every entry of tabloid x."""
+    """Apply a permutation (g[e-1] = image of e) to every entry of tabloid x.
+
+    x is a tuple of element tuples; `blocks` and `masks` convert from and to
+    the package's block bitmasks.
+    """
     r = sum(len(b) for b in x)
     if sorted(g) != list(range(1, r + 1)):
         raise InvalidParameter(f"not a permutation of 1..{r}: {g}")
@@ -372,8 +461,8 @@ def sym_action(g, x):
 
 def perm_matrix(g, basis):
     """Permutation matrix of g on M(alpha): column v holds g . x_v."""
-    cols = [1 << basis.index[sym_action(g, x)] for x in basis.elements]
-    return Gf2Matrix.from_columns(cols, basis.dim)
+    cols = [1 << basis.index[masks(sym_action(g, blocks(x)))] for x in basis.elements]
+    return gf2_from_columns(cols, basis.dim)
 
 
 def _psi_stack_bits(lam) -> int:
@@ -422,8 +511,8 @@ def equivariant_hom_dim(alpha, beta) -> int:
     parent = list(range(da * db))
     orbits = da * db
     for g in _generators(alpha.degree):
-        sig = [dom.index[sym_action(g, x)] for x in dom.elements]
-        tau = [cod.index[sym_action(g, y)] for y in cod.elements]
+        sig = [dom.index[masks(sym_action(g, blocks(x)))] for x in dom.elements]
+        tau = [cod.index[masks(sym_action(g, blocks(y)))] for y in cod.elements]
         for u in range(db):
             tu = tau[u] * da
             base = u * da

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from spechtend import tabloids
 from spechtend.errors import CapExceeded, InvalidParameter, VerificationError
 from spechtend.gf2 import Echelon, Gf2Matrix, mat_mul
-from spechtend.partitions import Composition, Partition, TabMatrix
+from spechtend.partitions import Composition, Partition, TabMatrix, enumerate_tables
 from spechtend.tabloids import (
     boundary_map,
     boundary_table,
@@ -18,6 +18,7 @@ from spechtend.tabloids import (
 )
 
 from oracles import (
+    blocks,
     equivariant_hom_dim,
     gf2_apply,
     gf2_column,
@@ -29,6 +30,7 @@ from oracles import (
     partitions_of,
     perm_matrix,
     rho_column_reference,
+    rho_matrix_reference,
     specht_kernel,
     sym_action,
     syt_count,
@@ -39,12 +41,12 @@ from oracles import (
 def test_single_tabloid():
     basis = enumerate_tabloids(Composition((4,)))
     assert basis.dim == 1
-    assert basis.elements == (((1, 2, 3, 4),),)
+    assert [blocks(x) for x in basis.elements] == [((1, 2, 3, 4),)]
 
 
 def test_two_singleton_blocks():
     basis = enumerate_tabloids(Composition((1, 1)))
-    assert basis.elements == (((1,), (2,)), ((2,), (1,)))
+    assert [blocks(x) for x in basis.elements] == [((1,), (2,)), ((2,), (1,))]
 
 
 def test_three_tabloids():
@@ -54,7 +56,7 @@ def test_three_tabloids():
 def test_empty_block_allowed():
     basis = enumerate_tabloids(Composition((2, 0, 1)))
     assert basis.dim == 3
-    assert all(x[1] == () for x in basis.elements)
+    assert all(blocks(x)[1] == () for x in basis.elements)
 
 
 @settings(max_examples=40, deadline=None)
@@ -67,7 +69,7 @@ def test_dim_is_multinomial(parts):
     assert basis.dim == multinomial(alpha.degree, parts)
     for i, x in enumerate(basis.elements):
         assert basis.index[x] == i
-        assert tuple(len(b) for b in x) == alpha.parts
+        assert tuple(len(b) for b in blocks(x)) == alpha.parts
 
 
 def test_tabloid_cap():
@@ -98,7 +100,7 @@ def test_sym_action_composition_law():
         rng.shuffle(g)
         rng.shuffle(h)
         gh = tuple(g[h[i] - 1] for i in range(6))
-        for x in rng.sample(basis.elements, 3):
+        for x in map(blocks, rng.sample(basis.elements, 3)):
             assert sym_action(gh, x) == sym_action(g, sym_action(h, x))
 
 
@@ -122,6 +124,30 @@ def test_rho_against_intersection_reference():
         expect = rho_column_reference(A.entries, x, cod.elements)
         assert gf2_column(got, v) == expect
         assert expect.bit_count() == 12  # C(4,2)*C(2,1) distinct images
+
+
+def test_rho_matches_tuple_block_reference():
+    # every table with r <= 5, margins zero-padded by one part, and every
+    # boundary table with r <= 6
+    tables = set()
+    for r in range(1, 6):
+        for a in partitions_of(r):
+            for b in partitions_of(r):
+                for pa in (a, a + (0,)):
+                    for pb in (b, b + (0,)):
+                        tables.update(enumerate_tables(pa, pb))
+    boundary = {
+        boundary_table(lam, kind, i, j, s).entries
+        for lam in (Partition(p) for r in range(1, 7) for p in partitions_of(r))
+        for kind in ("phi", "psi")
+        for i in range(1, lam.length + 1)
+        for j in range(i + 1, lam.length + 1)
+        for s in range(1, lam[j - 1] + 1)
+    }
+    assert (len(tables), len(boundary)) == (2820, 200)
+    for T in sorted(tables | boundary):
+        A = TabMatrix(T)
+        assert rho_matrix(A) == rho_matrix_reference(A), T
 
 
 def test_rho_cap():
