@@ -126,7 +126,7 @@ def _verdict_fits(rec: dict) -> bool:
 
 
 def _load_cache(path: str) -> Dict[tuple, dict]:
-    """Cached records keyed on (partition, version, max_bits)."""
+    """Cached records keyed on (partition, a, m, b, version, max_bits)."""
     cache: Dict[tuple, dict] = {}
     try:
         # undecodable bytes become U+FFFD, so their line is skipped as corrupt
@@ -146,7 +146,8 @@ def _load_cache(path: str) -> Dict[tuple, dict]:
                 # the verdict type this run would write for its family
                 if not _verdict_fits(rec):
                     raise ValueError
-                cache[rec["key"], rec.get("version"), rec.get("max_bits")] = rec
+                cache[rec["key"], rec["a"], rec["m"], rec["b"],
+                      rec.get("version"), rec.get("max_bits")] = rec
             except (ValueError, KeyError, TypeError):
                 print(
                     f"warning: skipping corrupt cache line {lineno}",
@@ -170,7 +171,8 @@ def cmd_scan(args) -> int:
     with sink as out:
         for fam in fams:
             key = ",".join(str(p) for p in fam.lam.parts)
-            rec = None if args.force else cache.get((key, __version__, args.max_bits))
+            rec = None if args.force else cache.get(
+                (key, fam.a, fam.m, fam.b, __version__, args.max_bits))
             if rec is None:
                 report = check_family(fam, args.max_tables, args.max_bits)
                 rec = report.to_json_dict()

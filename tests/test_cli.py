@@ -235,21 +235,24 @@ def test_scan_skips_cache_records_missing_fields(tmp_path, capsys):
     assert _lines(cache.read_text())[2:] == _lines(out)
 
 
-def test_scan_skips_cache_records_with_wrongly_typed_verdicts(tmp_path, capsys):
+def test_scan_recomputes_cache_records_that_misstate_their_family(tmp_path, capsys):
     # (2,2,1) is non-parity, so its verdict must be null; (3,2,3) is a parity
-    # family, so its verdict must be a list of failures
+    # family, so its verdict must be a list of failures; the third record
+    # has a null verdict that fits the family it names, (2,2,1), but not
+    # the family of its key
     cache = tmp_path / "scan.jsonl"
     rec = {"version": "0.1.0", "max_bits": DEFAULT_MAX_BITS}
-    cache.write_text(
-        json.dumps(dict(rec, key="2,1", verdict=5, a=2, m=2, b=1)) + "\n"
-        + json.dumps(dict(rec, key="3,1,1,1", verdict=None, rel_dim=7, a=3, m=2, b=3))
-        + "\n")
+    cache.write_text("".join(json.dumps(dict(rec, **fields)) + "\n" for fields in [
+        dict(key="2,1", verdict=5, a=2, m=2, b=1),
+        dict(key="3,1,1,1", verdict=None, rel_dim=7, a=3, m=2, b=3),
+        dict(key="3,1,1,1", verdict=None, rel_dim=7, a=2, m=2, b=1),
+    ]))
     code, out, err = run(capsys, ["scan", "--max-r", "6", "--parity", "all",
                                   "--cache", str(cache)])
     assert code == 0
     assert "corrupt cache line 1" in err and "corrupt cache line 2" in err
-    # every family was computed afresh and appended after the two bad lines
-    assert _lines(cache.read_text())[2:] == _lines(out)
+    # every family was computed afresh and appended after the three records
+    assert _lines(cache.read_text())[3:] == _lines(out)
     fresh = {r["key"]: r for r in _lines(out)}
     assert fresh["2,1"]["verdict"] is None
     assert (fresh["3,1,1,1"]["verdict"], fresh["3,1,1,1"]["rel_dim"]) == ([], 1)
