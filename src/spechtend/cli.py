@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 failed mathematical assertion, 2 usage or cap error,
-3 internal error (a broken invariant or an unexpected exception).
+Exit codes: 0 success, 1 failed mathematical assertion, 2 usage or cap error
+or output closed early, 3 internal error (a broken invariant or an
+unexpected exception).
 """
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import os
 import sys
 import time
 import traceback
@@ -42,7 +44,7 @@ def _support_digest(support: List[List[List[int]]]) -> str:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(json.dumps(obj, indent=2, sort_keys=True), flush=True)
 
 
 def _family_from_args(args) -> Optional[StaircaseFamily]:
@@ -188,7 +190,7 @@ def cmd_scan(args) -> int:
                 if out is not None:
                     out.write(json.dumps(rec, sort_keys=True) + "\n")
                     out.flush()
-            print(json.dumps(rec, sort_keys=True))
+            print(json.dumps(rec, sort_keys=True), flush=True)
             if rec["verdict"]:
                 failed = True
                 print(f"assertion failed: ({rec['a']},{rec['m']},{rec['b']}): "
@@ -311,6 +313,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_ASSERT
     except (CapExceeded, ParityError, InvalidParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # quiets the flush at exit
+        print("error: output closed before the run finished", file=sys.stderr)
         return EXIT_USAGE
     except Exception:
         traceback.print_exc()

@@ -1,13 +1,12 @@
 """Compositions, partitions, margin-constrained integer matrices and their moves.
 
-A table is a plain tuple of row tuples; `enumerate_tables` returns tables in
-that form and the relation engine works on them throughout.  TabMatrix is a
-validating view of one table, built only where code reads a table's
-structure: its margins, its transpose or its 1-based entries.
+A table is a plain tuple of row tuples.  `enumerate_tables` returns tables in
+that form and every function in the package takes and returns them; only the
+support of a solution is handed out as TabMatrix records.
 
 Row/column indices in the public functions here are 1-based, matching the
 conventions used for serialized matrices.  Sequence access on Composition and
-TabMatrix is plain 0-based Python indexing.
+on tables is plain 0-based Python indexing.
 """
 from __future__ import annotations
 
@@ -118,7 +117,7 @@ def parse_parts(text: str) -> Tuple[int, ...]:
 
 
 class TabMatrix:
-    """A nonnegative integer matrix; its margins are computed on demand."""
+    """A validated nonnegative integer matrix: the record of one support table."""
 
     __slots__ = ("entries",)
 
@@ -134,43 +133,6 @@ class TabMatrix:
                         raise InvalidParameter(f"negative entry in {rows}")
         self.entries = rows
 
-    @property
-    def row_margins(self) -> Composition:
-        return Composition(sum(row) for row in self.entries)
-
-    @property
-    def col_margins(self) -> Composition:
-        return Composition(map(sum, zip(*self.entries)))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def __getitem__(self, i: int) -> Tuple[int, ...]:
-        return self.entries[i]
-
-    def entry(self, i: int, j: int) -> int:
-        """Entry at 1-based position (i, j)."""
-        return self.entries[i - 1][j - 1]
-
-    def transpose(self) -> "TabMatrix":
-        return TabMatrix(zip(*self.entries)) if self.entries else TabMatrix(())
-
-    def add_units(self, deltas: Iterable[Tuple[int, int, int]]) -> "TabMatrix":
-        """Apply unit deltas (i, j, +-c) at 1-based positions."""
-        new = [list(row) for row in self.entries]
-        for i, j, c in deltas:
-            new[i - 1][j - 1] += c
-            if new[i - 1][j - 1] < 0:
-                raise InvalidParameter(
-                    f"delta at ({i},{j}) makes entry negative in {self.entries}"
-                )
-        return TabMatrix(new)
-
     def to_lists(self) -> List[List[int]]:
         return [list(row) for row in self.entries]
 
@@ -182,6 +144,11 @@ class TabMatrix:
 
     def __repr__(self) -> str:
         return f"TabMatrix({[list(r) for r in self.entries]})"
+
+
+def transpose_table(A: Table) -> Table:
+    """The entrywise transpose of a table."""
+    return tuple(zip(*A))
 
 
 def _row_fillings(n: int, caps: Tuple[int, ...]) -> List[Tuple[int, ...]]:
@@ -246,40 +213,40 @@ def enumerate_tables(
     return out
 
 
-def unit_exchange(A: TabMatrix, axis: str, i: int, j: int, k: int, l: int) -> TabMatrix:
+def unit_exchange(A: Table, axis: str, i: int, j: int, k: int, l: int) -> Table:
     """Four-cell margin-preserving move at 1-based indices.
 
     axis='row': A + E_ik - E_il - E_jk + E_jl (needs A[i][l] >= 1, A[j][k] >= 1).
-    axis='col': A + E_ki - E_li - E_kj + E_lj (needs A[k][j] >= 1, A[l][i] >= 1).
+    axis='col': A + E_ki - E_li - E_kj + E_lj (needs A[k][j] >= 1, A[l][i] >= 1),
+    the row move on the transpose, transposed back.
     """
-    if axis == "row":
-        return A.add_units([(i, k, 1), (i, l, -1), (j, k, -1), (j, l, 1)])
     if axis == "col":
-        return A.add_units([(k, i, 1), (l, i, -1), (k, j, -1), (l, j, 1)])
-    raise InvalidParameter(f"axis must be 'row' or 'col', got {axis!r}")
+        return transpose_table(unit_exchange(transpose_table(A), "row", i, j, k, l))
+    if axis != "row":
+        raise InvalidParameter(f"axis must be 'row' or 'col', got {axis!r}")
+    new = [list(row) for row in A]
+    for r, c, d in ((i, k, 1), (i, l, -1), (j, k, -1), (j, l, 1)):
+        new[r - 1][c - 1] += d
+        if new[r - 1][c - 1] < 0:
+            raise InvalidParameter(f"delta at ({r},{c}) makes entry negative in {A}")
+    return tuple(map(tuple, new))
 
 
-def row_order_key(A: TabMatrix):
-    """Rows read bottom to top, each left to right."""
-    return tuple(A.entries[::-1])
+def order_compare(A: Table, B: Table, mode: str) -> int:
+    """-1, 0 or 1 comparing A to B in the named total order.
 
-
-def col_order_key(A: TabMatrix):
-    """Columns read right to left, each top to bottom."""
-    cols = tuple(zip(*A.entries)) if A.entries else ()
-    return cols[::-1]
-
-
-def order_compare(A: TabMatrix, B: TabMatrix, mode: str) -> int:
-    """-1, 0 or 1 comparing A to B in the named total order."""
-    if A.nrows != B.nrows or A.ncols != B.ncols:
+    'row' reads the rows bottom to top, each left to right; 'col' reads the
+    columns right to left, each top to bottom, which is the row order on the
+    transposes.
+    """
+    At, Bt = transpose_table(A), transpose_table(B)
+    if len(A) != len(B) or len(At) != len(Bt):
         raise InvalidParameter("shape mismatch in order_compare")
-    if mode == "row":
-        ka, kb = row_order_key(A), row_order_key(B)
-    elif mode == "col":
-        ka, kb = col_order_key(A), col_order_key(B)
-    else:
+    if mode == "col":
+        A, B = At, Bt
+    elif mode != "row":
         raise InvalidParameter(f"mode must be 'row' or 'col', got {mode!r}")
+    ka, kb = A[::-1], B[::-1]
     return (ka > kb) - (ka < kb)
 
 

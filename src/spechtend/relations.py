@@ -2,11 +2,11 @@
 
 The unknowns are coefficients h[A], one per A in Tab(alpha, beta); a
 homomorphism sum(h[A] rho[A]) is annihilated by the boundary maps exactly
-when the R and C rows built here vanish.  Tables are plain tuples of row
-tuples throughout: `RelationSystem.tables` holds them, and a row of a
-RelationSystem is the sorted tuple of the column indices (positions in
-`tables`) whose coefficient is odd.  Only the support of a solution and the
-critical Z rows are handed out as TabMatrix views.
+when the R and C rows built here vanish.  Every function here takes and
+returns plain tables, tuples of row tuples: `RelationSystem.tables` holds
+them, and a row of a RelationSystem is the sorted tuple of the column indices
+(positions in `tables`) whose coefficient is odd.  Only the support of a
+solution is handed out as TabMatrix records.
 """
 from __future__ import annotations
 
@@ -23,15 +23,12 @@ from .partitions import (
     Table,
     enumerate_tables,
     transpose,
+    transpose_table,
     unit_exchange,
 )
 
 # A built row: the tables with odd coefficient, and the table it was built from.
 BuiltRow = Tuple[Tuple[Table, ...], Table]
-
-
-def _transpose(A: Table) -> Table:
-    return tuple(zip(*A))
 
 
 def _exchange_rows(
@@ -95,7 +92,7 @@ def build_C_rows(
     ascending order of D: the R rows of (beta, alpha), transposed.
     """
     rows = [
-        (tuple(map(_transpose, targets)), _transpose(B))
+        (tuple(map(transpose_table, targets)), transpose_table(B))
         for targets, B in _exchange_rows(beta.parts, alpha.parts, i, j, max_tables)
     ]
     rows.sort(key=lambda row: row[1])
@@ -129,7 +126,7 @@ def relation_system(
     """
     tables = enumerate_tables(alpha, beta, max_tables=max_tables)
     col = {T: c for c, T in enumerate(tables)}
-    col_t = {_transpose(T): c for T, c in col.items()}
+    col_t = {transpose_table(T): c for T, c in col.items()}
     rows: Set[Tuple[int, ...]] = set()
     for a, b, lookup in ((alpha, beta, col), (beta, alpha, col_t)):
         for i in range(1, a.width + 1):
@@ -202,36 +199,33 @@ def solve_relevance(sys: RelationSystem) -> RelevanceResult:
     )
 
 
-def z_coefficient(A: TabMatrix, j: int, k: int) -> int:
+def z_coefficient(A: Table, j: int, k: int) -> int:
     """z_jk(A) = sum_{i<j} a_ik + sum_{l<k} a_jl + j + k mod 2."""
-    if not (1 <= j <= A.nrows and 1 <= k <= A.ncols):
+    if not (1 <= j <= len(A) and 1 <= k <= len(A[j - 1])):
         raise InvalidParameter(f"(j,k)=({j},{k}) out of range")
-    s = sum(A.entry(i, k) for i in range(1, j)) + sum(
-        A.entry(j, l) for l in range(1, k)
-    )
+    s = sum(row[k - 1] for row in A[: j - 1]) + sum(A[j - 1][: k - 1])
     return (s + j + k) % 2
 
 
-def build_Z_row(A: TabMatrix, j: int, k: int) -> FrozenSet[TabMatrix]:
+def build_Z_row(A: Table, j: int, k: int) -> FrozenSet[Table]:
     """The critical relation at (j, k), as a set of odd-coefficient tables.
 
     z_jk(A) h[A] = sum_{i<j, l>k} a_il h[exch] + sum_{i>j, l<k} a_il h[exch];
     needs a_jk != 0.  Every referenced table precedes A in both orders.
     """
-    if A.entry(j, k) == 0:
+    if A[j - 1][k - 1] == 0:
         raise InvalidParameter(f"a_({j},{k}) must be nonzero")
-    acc: Set[TabMatrix] = set()
+    acc: Set[Table] = set()
     if z_coefficient(A, j, k) == 1:
         acc.add(A)
-    for i in range(1, A.nrows + 1):
-        for l in range(1, A.ncols + 1):
-            if (i < j and l > k) or (i > j and l < k):
-                if A.entry(i, l) % 2 == 1:
-                    acc.symmetric_difference_update(
-                        {unit_exchange(A, "row", min(i, j), max(i, j),
-                                       k if i < j else l,
-                                       l if i < j else k)}
-                    )
+    for i, row in enumerate(A, 1):
+        for l, v in enumerate(row, 1):
+            if v % 2 == 1 and ((i < j and l > k) or (i > j and l < k)):
+                acc.symmetric_difference_update(
+                    {unit_exchange(A, "row", min(i, j), max(i, j),
+                                   k if i < j else l,
+                                   l if i < j else k)}
+                )
     return frozenset(acc)
 
 
@@ -243,5 +237,5 @@ def transpose_hom(
     out = 0
     for c, T in enumerate(tables):
         if (x >> c) & 1:
-            out |= 1 << index_t[_transpose(T)]
+            out |= 1 << index_t[transpose_table(T)]
     return out

@@ -10,7 +10,6 @@ from typing import Dict, List, Tuple
 from .gf2 import Echelon, mat_mul
 from .partitions import (
     Partition,
-    TabMatrix,
     enumerate_tables,
     order_compare,
     staircase_families,
@@ -70,16 +69,19 @@ def check_composition_closed_form(max_r: int = 5) -> None:
     """rho[A] . phi-bar = sum of neighbouring rho's, and the psi mirror."""
     for lam in all_partitions(max_r):
         lam_t = transpose(lam)
-        for A in map(TabMatrix, enumerate_tables(lam_t, lam)):
+        for A in enumerate_tables(lam_t, lam):
             R = rho_matrix(A)
             for i in range(1, lam_t.length + 1):
                 for j in range(i + 1, lam_t.length + 1):
                     lhs = mat_mul(R, boundary_map(lam_t, "phi", i, j, 1))
                     acc = [0] * lhs.nrows
-                    for l in range(1, A.ncols + 1):
-                        if A.entry(j, l) == 0 or (A.entry(i, l) + 1) % 2 == 0:
+                    for l in range(1, len(A[0]) + 1):
+                        if A[j - 1][l - 1] == 0 or (A[i - 1][l - 1] + 1) % 2 == 0:
                             continue
-                        term = rho_matrix(A.add_units([(i, l, 1), (j, l, -1)]))
+                        T = [list(row) for row in A]
+                        T[i - 1][l - 1] += 1
+                        T[j - 1][l - 1] -= 1
+                        term = rho_matrix(tuple(map(tuple, T)))
                         acc = [x ^ y for x, y in zip(acc, term.rows)]
                     if list(lhs.rows) != acc:
                         raise AssertionError(
@@ -89,10 +91,13 @@ def check_composition_closed_form(max_r: int = 5) -> None:
                 for j in range(i + 1, lam.length + 1):
                     lhs = mat_mul(boundary_map(lam, "psi", i, j, 1), R)
                     acc = [0] * lhs.nrows
-                    for k in range(1, A.nrows + 1):
-                        if A.entry(k, j) == 0 or (A.entry(k, i) + 1) % 2 == 0:
+                    for k in range(1, len(A) + 1):
+                        if A[k - 1][j - 1] == 0 or (A[k - 1][i - 1] + 1) % 2 == 0:
                             continue
-                        term = rho_matrix(A.add_units([(k, i, 1), (k, j, -1)]))
+                        T = [list(row) for row in A]
+                        T[k - 1][i - 1] += 1
+                        T[k - 1][j - 1] -= 1
+                        term = rho_matrix(tuple(map(tuple, T)))
                         acc = [x ^ y for x, y in zip(acc, term.rows)]
                     if list(lhs.rows) != acc:
                         raise AssertionError(
@@ -128,15 +133,15 @@ def check_z_redundancy(max_r: int = 8) -> None:
         for r in sys.row_ints():
             ech.insert(r)
         index = {T: c for c, T in enumerate(sys.tables)}
-        for A in map(TabMatrix, sys.tables):
+        for A in sys.tables:
             for j in range(1, fam.m + 1):
                 for k in range(1, fam.m + 1):
-                    if A.entry(j, k) == 0:
+                    if A[j - 1][k - 1] == 0:
                         continue
                     zrow = build_Z_row(A, j, k)
                     acc = 0
                     for T in zrow:
-                        acc |= 1 << index[T.entries]
+                        acc |= 1 << index[T]
                     if not ech.contains(acc):
                         raise AssertionError(
                             f"Z row not in R/C row space for family "

@@ -6,6 +6,9 @@ margins alpha = (a', m-1, ..., 2, b') and beta = (a, m-1, ..., 2, b).  This
 module builds that flat system, expands flat tables back to full ones, runs
 the structural classifiers on flat tables, and checks families: `check_family`
 computes a report and `VerifyReport.failures` alone judges the parity theorem.
+Every function here takes and returns plain tables, tuples of row tuples;
+only the support in a report and the predicted `theorem_matrix` are
+TabMatrix records.
 """
 from __future__ import annotations
 
@@ -16,31 +19,26 @@ from typing import Dict, List, Optional, Set, Tuple
 from .errors import CapExceeded, InternalError, InvalidParameter, ParityError, VerificationError
 from .gf2 import Gf2Matrix
 from .limits import DEFAULT_MAX_BITS, DEFAULT_MAX_TABLES
-from .partitions import StaircaseFamily, TabMatrix, enumerate_tables
+from .partitions import StaircaseFamily, TabMatrix, Table, enumerate_tables, transpose_table
 from .relations import RelationSystem, RelevanceResult, relation_system, solve_relevance
 from .tabloids import end_dimension_oracle, rho_matrix
 
 
-def pi_expand(B: TabMatrix, family: StaircaseFamily) -> List[TabMatrix]:
+def pi_expand(B: Table, family: StaircaseFamily) -> List[Table]:
     """Expansion classes realizing rho[B] . pi_alpha = sum of rho[A].
 
     B has row margins alpha; the results agree with B on the first m-1 rows
-    and distribute row m into b' unit rows.
+    and distribute row m into b' unit rows, in ascending order.
     """
     m = family.m
-    if B.row_margins != family.alpha:
-        raise InvalidParameter(
-            f"row margins {B.row_margins.parts} != alpha {family.alpha.parts}"
-        )
-    head = B.entries[: m - 1]
-    mats = [
-        TabMatrix(head + T)
-        for T in enumerate_tables((1,) * family.b_prime, B.entries[m - 1])
-    ]
-    return sorted(mats, key=lambda A: A.entries)
+    margins = tuple(map(sum, B))
+    if margins != family.alpha.parts:
+        raise InvalidParameter(f"row margins {margins} != alpha {family.alpha.parts}")
+    head = B[: m - 1]
+    return [head + T for T in enumerate_tables((1,) * family.b_prime, B[m - 1])]
 
 
-def iota_expand(B: TabMatrix, family: StaircaseFamily) -> List[TabMatrix]:
+def iota_expand(B: Table, family: StaircaseFamily) -> List[Table]:
     """Expansion classes realizing iota_beta . rho[B] = sum of rho[A].
 
     B has column margins beta; the results agree with B on the first m-1
@@ -48,23 +46,21 @@ def iota_expand(B: TabMatrix, family: StaircaseFamily) -> List[TabMatrix]:
     expansions of B^T in the swapped family, whose alpha is this beta,
     transposed back.
     """
-    if B.col_margins != family.beta:
-        raise InvalidParameter(
-            f"col margins {B.col_margins.parts} != beta {family.beta.parts}"
-        )
-    mats = [A.transpose() for A in pi_expand(B.transpose(), family.swapped())]
-    return sorted(mats, key=lambda A: A.entries)
+    margins = tuple(map(sum, zip(*B)))
+    if margins != family.beta.parts:
+        raise InvalidParameter(f"col margins {margins} != beta {family.beta.parts}")
+    return sorted(map(transpose_table, pi_expand(transpose_table(B), family.swapped())))
 
 
-def omega_expand(B: TabMatrix, family: StaircaseFamily) -> List[TabMatrix]:
+def omega_expand(B: Table, family: StaircaseFamily) -> List[Table]:
     """The composite class Omega(B): both expansions applied to a flat table."""
-    out: Set[TabMatrix] = set()
+    out: Set[Table] = set()
     for A1 in pi_expand(B, family):
         out.update(iota_expand(A1, family))
-    return sorted(out, key=lambda A: A.entries)
+    return sorted(out)
 
 
-def _pi_table(family: StaircaseFamily) -> TabMatrix:
+def _pi_table(family: StaircaseFamily) -> Table:
     """The table whose rho is pi_alpha: the last b' rows of lam' go to row m."""
     m = family.m
     n = family.lam_t.length
@@ -73,7 +69,7 @@ def _pi_table(family: StaircaseFamily) -> TabMatrix:
         entries[u][u] = family.alpha[u]
     for u in range(m - 1, n):
         entries[u][m - 1] = 1
-    return TabMatrix(entries)
+    return tuple(map(tuple, entries))
 
 
 def pi_matrix(family: StaircaseFamily, max_bits: int = DEFAULT_MAX_BITS) -> Gf2Matrix:
@@ -86,7 +82,7 @@ def iota_matrix(family: StaircaseFamily, max_bits: int = DEFAULT_MAX_BITS) -> Gf
 
     Its table is the transposed pi table of the swapped family.
     """
-    return rho_matrix(_pi_table(family.swapped()).transpose(), max_bits)
+    return rho_matrix(transpose_table(_pi_table(family.swapped())), max_bits)
 
 
 def flat_relevance_system(
@@ -112,27 +108,27 @@ class StructureReport:
     w_seq: Optional[Dict[int, Tuple[int, ...]]]
 
 
-def _in_TR(A: TabMatrix, m: int) -> bool:
-    if any(A.entry(i, 1) != 1 for i in range(1, m)):
+def _in_TR(A: Table, m: int) -> bool:
+    if any(A[i][0] != 1 for i in range(m - 1)):
         return False
-    return all(A.entry(m, k) == 0 for k in range(2, m + 1))
+    return all(A[m - 1][k] == 0 for k in range(1, m))
 
 
-def _tr_level(A: TabMatrix, m: int) -> Optional[int]:
+def _tr_level(A: Table, m: int) -> Optional[int]:
     """Largest i (1 < i < m) such that for all 1 < j <= i the row tau(j)
     contains exactly j odd entries; None if not even in TR_2."""
     if not _in_TR(A, m):
         return None
     level = None
     for i in range(2, m):
-        row = A.entries[tau(i, m) - 1]
+        row = A[tau(i, m) - 1]
         if sum(1 for v in row if v % 2 == 1) != i:
             break
         level = i
     return level
 
 
-def _classify_half(A: TabMatrix, m: int) -> Tuple[Optional[int], Optional[int], Optional[int], Optional[Dict[int, Tuple[int, ...]]]]:
+def _classify_half(A: Table, m: int) -> Tuple[Optional[int], Optional[int], Optional[int], Optional[Dict[int, Tuple[int, ...]]]]:
     """tr_level, k_A, j_A and the w sequences for the row-side structure."""
     level = _tr_level(A, m)
     if level is None:
@@ -140,19 +136,19 @@ def _classify_half(A: TabMatrix, m: int) -> Tuple[Optional[int], Optional[int], 
     i = level
     K = set()
     for k in range(2, i + 1):
-        if all(A.entry(u, k) == 1 for u in range(tau(i, m), tau(k, m) + 1)):
+        if all(A[u - 1][k - 1] == 1 for u in range(tau(i, m), tau(k, m) + 1)):
             K.add(k)
     k_A = min(k for k in range(2, i + 2) if k not in K)
     j_A = None
     w_seq = None
     if k_A <= i:
-        cands = [jj for jj in range(k_A, i + 1) if A.entry(tau(jj, m), k_A) == 0]
+        cands = [jj for jj in range(k_A, i + 1) if A[tau(jj, m) - 1][k_A - 1] == 0]
         j_A = min(cands) if cands else None
         w_seq = {}
         for jj in range(k_A, i + 1):
             w = tuple(
                 sorted(
-                    (l for l in range(k_A, m + 1) if A.entry(tau(jj, m), l) == 1),
+                    (l for l in range(k_A, m + 1) if A[tau(jj, m) - 1][l - 1] == 1),
                     reverse=True,
                 )
             )
@@ -160,7 +156,7 @@ def _classify_half(A: TabMatrix, m: int) -> Tuple[Optional[int], Optional[int], 
     return level, k_A, j_A, w_seq
 
 
-def classify_structure(A: TabMatrix) -> StructureReport:
+def classify_structure(A: Table) -> StructureReport:
     """Structural membership and invariants of a flat m x m table.
 
     TR: unit first column above the last row, zero last row past column 1.
@@ -170,14 +166,13 @@ def classify_structure(A: TabMatrix) -> StructureReport:
     zero at (tau(j), k_A), and w^j(A) lists (decreasing) the columns >= k_A
     where row tau(j) has a one.
     """
-    m = A.nrows
-    if A.ncols != m:
+    m = len(A)
+    if any(len(row) != m for row in A):
         raise InvalidParameter("classify_structure expects a square flat table")
-    in_tr = _in_TR(A, m)
-    in_tc = _in_TR(A.transpose(), m)
+    A_t = transpose_table(A)
     tr_level, k_A, j_A, w_seq = _classify_half(A, m)
-    tc_level, _, _, _ = _classify_half(A.transpose(), m)
-    return StructureReport(in_tr, in_tc, tr_level, tc_level, k_A, j_A, w_seq)
+    tc_level, _, _, _ = _classify_half(A_t, m)
+    return StructureReport(_in_TR(A, m), _in_TR(A_t, m), tr_level, tc_level, k_A, j_A, w_seq)
 
 
 def theorem_matrix(family: StaircaseFamily) -> TabMatrix:
@@ -191,7 +186,8 @@ def theorem_matrix(family: StaircaseFamily) -> TabMatrix:
     entries[0][m - 1] = family.b
     entries[m - 1][0] = family.a - family.m + 1
     A0 = TabMatrix(entries)
-    if A0.row_margins != family.alpha or A0.col_margins != family.beta:
+    if (tuple(map(sum, entries)) != family.alpha.parts
+            or tuple(map(sum, zip(*entries))) != family.beta.parts):
         raise InternalError(
             f"A0 = {A0} misses the margins of ({family.a},{family.m},{family.b})"
         )
@@ -217,12 +213,13 @@ def structural_lemma_audit(
         raise InternalError(
             "empty support: the identity endomorphism guarantees a nonzero solution"
         )
-    for A in rel.support:
+    for S in rel.support:
+        A = S.entries
         rep = classify_structure(A)
-        if A.entry(m, m) != 0:
+        if A[m - 1][m - 1] != 0:
             audits["no_bottom_right"] = False
-        has_jm = any(A.entry(j, m) != 0 for j in range(2, m))
-        has_mk = any(A.entry(m, k) != 0 for k in range(2, m))
+        has_jm = any(A[j][m - 1] != 0 for j in range(1, m - 1))
+        has_mk = any(A[m - 1][k] != 0 for k in range(1, m - 1))
         if has_jm and has_mk:
             audits["no_outside_rim_pair"] = False
         if not (rep.in_TR or rep.in_TC):

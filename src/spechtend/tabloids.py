@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Tuple
 from .errors import CapExceeded, InternalError, InvalidParameter
 from .gf2 import Gf2Matrix, TaggedEchelon, mat_mul
 from .limits import DEFAULT_MAX_BITS
-from .partitions import Composition, Partition, TabMatrix, enumerate_tables, transpose
+from .partitions import Composition, Partition, Table, enumerate_tables, transpose
 
 Tabloid = Tuple[int, ...]
 
@@ -79,14 +79,15 @@ def enumerate_tabloids(alpha: Composition, max_bits: int = DEFAULT_MAX_BITS) -> 
     return _basis_cached(alpha.parts)
 
 
-def rho_matrix(A: TabMatrix, max_bits: int = DEFAULT_MAX_BITS) -> Gf2Matrix:
+def rho_matrix(A: Table, max_bits: int = DEFAULT_MAX_BITS) -> Gf2Matrix:
     """Matrix of rho[A] : M(alpha) -> M(beta) in canonical tabloid bases.
 
     The image of a domain tabloid x is the mod-2 sum over all ways to split
     each block x_i into pieces of sizes (a_i1, ..., a_iC), reassembling
-    output block j as the union of the i -> j pieces.
+    output block j as the union of the i -> j pieces.  The rows of A must be
+    tuples: the cached splitter is keyed on them.
     """
-    alpha, beta = A.row_margins, A.col_margins
+    alpha, beta = Composition(map(sum, A)), Composition(map(sum, zip(*A)))
     dom = enumerate_tabloids(alpha, max_bits)
     cod = enumerate_tabloids(beta, max_bits)
     if dom.dim * cod.dim > max_bits:
@@ -97,15 +98,15 @@ def rho_matrix(A: TabMatrix, max_bits: int = DEFAULT_MAX_BITS) -> Gf2Matrix:
     rows = [0] * cod.dim
     for v, x in enumerate(dom.elements):
         bit = 1 << v
-        for choice in itertools.product(*map(_splits, x, A.entries)):
+        for choice in itertools.product(*map(_splits, x, A)):
             # zip(*choice) yields, per output block j, the pieces i -> j;
             # they are disjoint, so their sum is their union
             rows[cod_rank[tuple(map(sum, zip(*choice)))]] ^= bit
     return Gf2Matrix(rows, dom.dim)
 
 
-def boundary_table(lam: Partition, kind: str, i: int, j: int, s: int) -> TabMatrix:
-    """The Tab matrix whose rho realizes the named boundary map."""
+def boundary_table(lam: Partition, kind: str, i: int, j: int, s: int) -> Table:
+    """The table whose rho realizes the named boundary map."""
     n = lam.length
     if not (1 <= i < j <= n and 1 <= s <= lam[j - 1]):
         raise InvalidParameter(f"bad boundary indices ({i},{j},{s}) for {lam.parts}")
@@ -119,7 +120,7 @@ def boundary_table(lam: Partition, kind: str, i: int, j: int, s: int) -> TabMatr
         entries[j - 1][i - 1] += s
     else:
         raise InvalidParameter(f"kind must be 'phi' or 'psi', got {kind!r}")
-    return TabMatrix(entries)
+    return tuple(map(tuple, entries))
 
 
 def boundary_map(
@@ -201,7 +202,7 @@ def hom_solution_space(
     ech = TaggedEchelon()
     kernel: List[int] = []
     for col, T in enumerate(tables):
-        R = rho_matrix(TabMatrix(T), max_bits)
+        R = rho_matrix(T, max_bits)
         acc = _pack_rows(itertools.chain(
             (mat_mul(R, phi) for phi in phis), (mat_mul(psi, R) for psi in psis)
         ))

@@ -9,7 +9,7 @@ from typing import Dict, List
 
 from .errors import VerificationError
 from .gf2 import mat_mul
-from .partitions import TabMatrix, staircase_family
+from .partitions import staircase_family
 from .staircase import (
     classify_structure,
     iota_expand,
@@ -20,40 +20,40 @@ from .staircase import (
 )
 from .tabloids import rho_matrix
 
-DISTRIBUTE_B = [[2, 2], [1, 1]]
+DISTRIBUTE_B = ((2, 2), (1, 1))
 
 DISTRIBUTE_PI = [
-    [[2, 2], [0, 1], [1, 0]],
-    [[2, 2], [1, 0], [0, 1]],
+    ((2, 2), (0, 1), (1, 0)),
+    ((2, 2), (1, 0), (0, 1)),
 ]
 
 DISTRIBUTE_IOTA = [
-    [[2, 0, 1, 1], [1, 1, 0, 0]],
-    [[2, 1, 0, 1], [1, 0, 1, 0]],
-    [[2, 1, 1, 0], [1, 0, 0, 1]],
+    ((2, 0, 1, 1), (1, 1, 0, 0)),
+    ((2, 1, 0, 1), (1, 0, 1, 0)),
+    ((2, 1, 1, 0), (1, 0, 0, 1)),
 ]
 
 DISTRIBUTE_COMPOSITE = [
-    [[2, 0, 1, 1], [0, 1, 0, 0], [1, 0, 0, 0]],
-    [[2, 0, 1, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
-    [[2, 1, 0, 1], [0, 0, 1, 0], [1, 0, 0, 0]],
-    [[2, 1, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0]],
-    [[2, 1, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
-    [[2, 1, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]],
+    ((2, 0, 1, 1), (0, 1, 0, 0), (1, 0, 0, 0)),
+    ((2, 0, 1, 1), (1, 0, 0, 0), (0, 1, 0, 0)),
+    ((2, 1, 0, 1), (0, 0, 1, 0), (1, 0, 0, 0)),
+    ((2, 1, 0, 1), (1, 0, 0, 0), (0, 0, 1, 0)),
+    ((2, 1, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0)),
+    ((2, 1, 1, 0), (1, 0, 0, 0), (0, 0, 0, 1)),
 ]
 
 # 9x9 table in Tab((9,8,7,6,5,4,3,2,2), (10,8,7,6,5,4,3,2,1)), family (10,9,1)
-CLASSIFIER_MATRIX = [
-    [1, 1, 1, 1, 1, 1, 1, 1, 1],
-    [1, 1, 1, 2, 0, 1, 1, 1, 0],
-    [1, 1, 1, 1, 1, 2, 0, 0, 0],
-    [1, 1, 1, 2, 1, 0, 0, 0, 0],
-    [1, 1, 1, 0, 1, 0, 1, 0, 0],
-    [1, 1, 1, 0, 1, 0, 0, 0, 0],
-    [1, 1, 1, 0, 0, 0, 0, 0, 0],
-    [1, 1, 0, 0, 0, 0, 0, 0, 0],
-    [2, 0, 0, 0, 0, 0, 0, 0, 0],
-]
+CLASSIFIER_MATRIX = (
+    (1, 1, 1, 1, 1, 1, 1, 1, 1),
+    (1, 1, 1, 2, 0, 1, 1, 1, 0),
+    (1, 1, 1, 1, 1, 2, 0, 0, 0),
+    (1, 1, 1, 2, 1, 0, 0, 0, 0),
+    (1, 1, 1, 0, 1, 0, 1, 0, 0),
+    (1, 1, 1, 0, 1, 0, 0, 0, 0),
+    (1, 1, 1, 0, 0, 0, 0, 0, 0),
+    (1, 1, 0, 0, 0, 0, 0, 0, 0),
+    (2, 0, 0, 0, 0, 0, 0, 0, 0),
+)
 
 CLASSIFIER_EXPECTED = {"tr_level": 5, "k_A": 4, "j_A": 4, "w5": (7, 5)}
 
@@ -61,14 +61,13 @@ CLASSIFIER_EXPECTED = {"tr_level": 5, "k_A": 4, "j_A": 4, "w5": (7, 5)}
 def check_distribute_sets() -> None:
     """The three expansion identities reproduce the listed matrices exactly."""
     fam = staircase_family(3, 2, 3)
-    B = TabMatrix(DISTRIBUTE_B)
-    got_pi = [A.to_lists() for A in pi_expand(B, fam)]
+    got_pi = pi_expand(DISTRIBUTE_B, fam)
     if got_pi != DISTRIBUTE_PI:
         raise VerificationError(f"pi expansion mismatch: {got_pi}")
-    got_iota = [A.to_lists() for A in iota_expand(B, fam)]
+    got_iota = iota_expand(DISTRIBUTE_B, fam)
     if got_iota != DISTRIBUTE_IOTA:
         raise VerificationError(f"iota expansion mismatch: {got_iota}")
-    got_comp = [A.to_lists() for A in omega_expand(B, fam)]
+    got_comp = omega_expand(DISTRIBUTE_B, fam)
     if got_comp != DISTRIBUTE_COMPOSITE:
         raise VerificationError(f"composite expansion mismatch: {got_comp}")
 
@@ -76,28 +75,27 @@ def check_distribute_sets() -> None:
 def check_distribute_matrices() -> None:
     """The expansion identities hold as materialized tabloid-matrix equations."""
     fam = staircase_family(3, 2, 3)
-    B = TabMatrix(DISTRIBUTE_B)
     pi_m = pi_matrix(fam)
     iota_m = iota_matrix(fam)
-    rho_B = rho_matrix(B)
+    rho_B = rho_matrix(DISTRIBUTE_B)
 
     lhs = mat_mul(rho_B, pi_m)
     rows = [0] * lhs.nrows
-    for A in pi_expand(B, fam):
+    for A in pi_expand(DISTRIBUTE_B, fam):
         rows = [x ^ y for x, y in zip(rows, rho_matrix(A).rows)]
     if list(lhs.rows) != rows:
         raise VerificationError("pi matrix identity failed")
 
     lhs = mat_mul(iota_m, rho_B)
     rows = [0] * lhs.nrows
-    for A in iota_expand(B, fam):
+    for A in iota_expand(DISTRIBUTE_B, fam):
         rows = [x ^ y for x, y in zip(rows, rho_matrix(A).rows)]
     if list(lhs.rows) != rows:
         raise VerificationError("iota matrix identity failed")
 
     lhs = mat_mul(iota_m, mat_mul(rho_B, pi_m))
     rows = [0] * lhs.nrows
-    for A in omega_expand(B, fam):
+    for A in omega_expand(DISTRIBUTE_B, fam):
         rows = [x ^ y for x, y in zip(rows, rho_matrix(A).rows)]
     if list(lhs.rows) != rows:
         raise VerificationError("composite matrix identity failed")
@@ -105,8 +103,7 @@ def check_distribute_matrices() -> None:
 
 def check_classifier() -> Dict[str, object]:
     """The structural classifier on the frozen 9x9 table."""
-    A = TabMatrix(CLASSIFIER_MATRIX)
-    rep = classify_structure(A)
+    rep = classify_structure(CLASSIFIER_MATRIX)
     exp = CLASSIFIER_EXPECTED
     if rep.tr_level != exp["tr_level"]:
         raise VerificationError(f"tr_level {rep.tr_level} != {exp['tr_level']}")

@@ -9,7 +9,7 @@ from typing import List, Sequence, Tuple
 from spechtend.errors import CapExceeded, InvalidParameter
 from spechtend.gf2 import Echelon, Gf2Matrix
 from spechtend.limits import DEFAULT_MAX_BITS
-from spechtend.partitions import Composition, TabMatrix, enumerate_tables, unit_exchange
+from spechtend.partitions import Composition, TabMatrix, unit_exchange
 from spechtend.relations import RelevanceResult
 from spechtend.staircase import omega_expand
 from spechtend.tabloids import boundary_map, enumerate_tabloids, tabloid_dim
@@ -184,12 +184,12 @@ def _row_splits_reference(block: Tuple[int, ...], sizes: Tuple[int, ...]) -> Tup
 
 def rho_matrix_reference(A):
     """Matrix of rho[A] on tuple-block tabloids, column by column."""
-    dom, _ = _basis_reference(A.row_margins.parts)
-    cod, cod_rank = _basis_reference(A.col_margins.parts)
+    dom, _ = _basis_reference(tuple(map(sum, A)))
+    cod, cod_rank = _basis_reference(tuple(map(sum, zip(*A))))
     cols = []
     for x in dom:
         acc = 0
-        row_choices = [_row_splits_reference(x[i], A.entries[i]) for i in range(A.nrows)]
+        row_choices = [_row_splits_reference(x[i], A[i]) for i in range(len(A))]
         for choice in itertools.product(*row_choices):
             y = tuple(tuple(sorted(itertools.chain(*pieces))) for pieces in zip(*choice))
             acc ^= 1 << cod_rank[y]
@@ -198,9 +198,19 @@ def rho_matrix_reference(A):
 
 
 # The seed's relations engine, kept as the differential reference for the
-# tuple-table builder in spechtend.relations: tables are enumerated one
-# TabMatrix at a time, every move allocates a new TabMatrix, and rows are
-# frozensets of tables.
+# tuple-table builder in spechtend.relations: tables are enumerated one at a
+# time by recursive placement, every move allocates a new table through
+# `add_units`, and rows are frozensets of tables.
+
+def add_units(A, deltas):
+    """A with unit deltas (i, j, +-c) applied at 1-based positions."""
+    new = [list(row) for row in A]
+    for i, j, c in deltas:
+        new[i - 1][j - 1] += c
+        if new[i - 1][j - 1] < 0:
+            raise InvalidParameter(f"delta at ({i},{j}) makes entry negative in {A}")
+    return tuple(map(tuple, new))
+
 
 def enumerate_tables_reference(alpha, beta):
     """Tab(alpha, beta) by recursive placement, in ascending row-major order."""
@@ -212,7 +222,7 @@ def enumerate_tables_reference(alpha, beta):
     def fill_row(i: int) -> None:
         if i == nr:
             if all(c == 0 for c in col_rem):
-                out.append(TabMatrix(rows))
+                out.append(tuple(rows))
             return
         row = [0] * nc
 
@@ -254,34 +264,34 @@ def _shifted(parts, i, j):
 
 
 def reference_R_rows(alpha, beta, i, j):
-    """[(frozenset of TabMatrix, provenance)] for R(i,j), as the seed built them."""
+    """[(frozenset of tables, provenance)] for R(i,j), as the seed built them."""
     if alpha[j - 1] == 0:
         return []
     out = []
     for B in enumerate_tables_reference(_shifted(alpha, i, j), beta):
         targets = frozenset(
-            B.add_units([(i, l, -1), (j, l, 1)])
+            add_units(B, [(i, l, -1), (j, l, 1)])
             for l in range(1, len(beta) + 1)
-            if B.entry(i, l) % 2 == 1
+            if B[i - 1][l - 1] % 2 == 1
         )
         if targets:
-            out.append((targets, f"R({i},{j}) B={B.to_lists()}"))
+            out.append((targets, f"R({i},{j}) B={[list(r) for r in B]}"))
     return out
 
 
 def reference_C_rows(alpha, beta, i, j):
-    """[(frozenset of TabMatrix, provenance)] for C(i,j), as the seed built them."""
+    """[(frozenset of tables, provenance)] for C(i,j), as the seed built them."""
     if beta[j - 1] == 0:
         return []
     out = []
     for D in enumerate_tables_reference(alpha, _shifted(beta, i, j)):
         targets = frozenset(
-            D.add_units([(k, i, -1), (k, j, 1)])
+            add_units(D, [(k, i, -1), (k, j, 1)])
             for k in range(1, len(alpha) + 1)
-            if D.entry(k, i) % 2 == 1
+            if D[k - 1][i - 1] % 2 == 1
         )
         if targets:
-            out.append((targets, f"C({i},{j}) D={D.to_lists()}"))
+            out.append((targets, f"C({i},{j}) D={[list(r) for r in D]}"))
     return out
 
 
@@ -307,21 +317,21 @@ def reference_relation_system(alpha, beta):
 
 
 def corollary_R_rows(tables, i, j):
-    """The per-(A,k) form of the R relations, as sets of TabMatrix.
+    """The per-(A,k) form of the R relations, as sets of tables.
 
     For a_jk != 0: (a_ik+1) h[A] = sum over l != k of a_il h[A'] where A' is
     the row exchange moving a unit from columns l to k between rows i and j.
     """
     rows = set()
     for A in tables:
-        for k in range(1, A.ncols + 1):
-            if A.entry(j, k) == 0:
+        for k in range(1, len(A[0]) + 1):
+            if A[j - 1][k - 1] == 0:
                 continue
             acc = set()
-            if (A.entry(i, k) + 1) % 2 == 1:
+            if (A[i - 1][k - 1] + 1) % 2 == 1:
                 acc.add(A)
-            for l in range(1, A.ncols + 1):
-                if l == k or A.entry(i, l) % 2 == 0:
+            for l in range(1, len(A[0]) + 1):
+                if l == k or A[i - 1][l - 1] % 2 == 0:
                     continue
                 acc.symmetric_difference_update({unit_exchange(A, "row", i, j, k, l)})
             if acc:
@@ -330,17 +340,17 @@ def corollary_R_rows(tables, i, j):
 
 
 def corollary_C_rows(tables, i, j):
-    """The per-(A,k) form of the C relations, as sets of TabMatrix."""
+    """The per-(A,k) form of the C relations, as sets of tables."""
     rows = set()
     for A in tables:
-        for k in range(1, A.nrows + 1):
-            if A.entry(k, j) == 0:
+        for k in range(1, len(A) + 1):
+            if A[k - 1][j - 1] == 0:
                 continue
             acc = set()
-            if (A.entry(k, i) + 1) % 2 == 1:
+            if (A[k - 1][i - 1] + 1) % 2 == 1:
                 acc.add(A)
-            for l in range(1, A.nrows + 1):
-                if l == k or A.entry(l, i) % 2 == 0:
+            for l in range(1, len(A) + 1):
+                if l == k or A[l - 1][i - 1] % 2 == 0:
                     continue
                 acc.symmetric_difference_update({unit_exchange(A, "col", i, j, k, l)})
             if acc:
@@ -350,10 +360,10 @@ def corollary_C_rows(tables, i, j):
 
 def z_coefficient_complement(A, j: int, k: int) -> int:
     """z_jk(A) from the complementary sums and the margins."""
-    s = sum(A.entry(i, k) for i in range(j + 1, A.nrows + 1)) + sum(
-        A.entry(j, l) for l in range(k + 1, A.ncols + 1)
+    s = sum(A[i - 1][k - 1] for i in range(j + 1, len(A) + 1)) + sum(
+        A[j - 1][l - 1] for l in range(k + 1, len(A[0]) + 1)
     )
-    return (s + A.row_margins[j - 1] + A.col_margins[k - 1] + j + k) % 2
+    return (s + sum(A[j - 1]) + sum(row[k - 1] for row in A) + j + k) % 2
 
 
 def distribute_rows_reference(head, tail_counts, nrows):
@@ -436,11 +446,6 @@ def gf2_transpose(M):
 def gf2_apply(M, v):
     """M times the column vector v, both as bit ints."""
     return sum(((r & v).bit_count() & 1) << i for i, r in enumerate(M.rows))
-
-
-def tab_matrices(alpha, beta):
-    """Tab(alpha, beta) as TabMatrix views, for tests that read structure."""
-    return [TabMatrix(T) for T in enumerate_tables(alpha, beta)]
 
 
 # Module-theoretic references: the Specht kernel, the equivariant dimension
@@ -534,6 +539,6 @@ def omega_lift(x, flat_sys, family, full_tables) -> int:
     out = 0
     for c, B in enumerate(flat_sys.tables):
         if (x >> c) & 1:
-            for A in omega_expand(TabMatrix(B), family):
-                out |= 1 << index[A.entries]
+            for A in omega_expand(B, family):
+                out |= 1 << index[A]
     return out

@@ -86,7 +86,7 @@ def test_criterion_03_worked_expansion_identities():
 
 def test_criterion_04_worked_classifier():
     check_classifier()
-    rep = classify_structure(TabMatrix(CLASSIFIER_MATRIX))
+    rep = classify_structure(CLASSIFIER_MATRIX)
     assert (rep.k_A, rep.j_A, rep.w_seq[5]) == (4, 4, (7, 5))
     print("\n[PASS] criterion 4: classifier gives k_A=4, j_A=4, w^5=(7,5)")
 
@@ -110,7 +110,7 @@ def test_criterion_06_rho_basis_claim_r6():
             assert equivariant_hom_dim(alpha, beta) == len(tables)
             ech = TaggedEchelon()
             for c, A in enumerate(tables):
-                acc = _pack_rows([rho_matrix(TabMatrix(A))])
+                acc = _pack_rows([rho_matrix(A)])
                 assert ech.insert(acc, 1 << c) is None, (pa, pb, c)
             pairs += 1
     print(

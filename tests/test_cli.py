@@ -102,14 +102,6 @@ def test_unknown_subcommand(capsys):
     capsys.readouterr()
 
 
-def test_threads_must_be_positive(capsys):
-    # --threads was never read; it is no longer an option at all
-    for value in ("0", "1"):
-        code, _, err = run(capsys, ["rel-dim", "--lambda", "2,1", "--threads", value])
-        assert code == 2
-        assert "unrecognized arguments: --threads" in err
-
-
 BASE_ARGV = {
     "tables": ["tables", "--alpha", "2,1", "--beta", "2,1"],
     "rel-dim": ["rel-dim", "--lambda", "2,1"],
@@ -132,6 +124,9 @@ BASE_ARGV = {
     ("selftest", "--max-bits", "1"),
     ("selftest", "--max-tables", "1"),
     ("verify", "--lambda", "2,1"),
+    # --threads was never read; it is no longer an option at all
+    ("rel-dim", "--threads", "0"),
+    ("rel-dim", "--threads", "1"),
 ] + [(cmd, "--format", "json") for cmd in BASE_ARGV])
 def test_unread_flags_are_refused(capsys, cmd, flag, value):
     # each subcommand registers only the flags it reads
@@ -412,10 +407,15 @@ def test_empty_kernel_is_an_internal_error(capsys, monkeypatch):
     assert "InternalError: empty support" in err
 
 
-def test_console_entry_exit_codes():
+def _cli_env():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_console_entry_exit_codes():
+    env = _cli_env()
     cases = [
         (["verify", "--a", "3", "--m", "2", "--b", "3"], 0),
         (["verify", "--a", "4", "--m", "2", "--b", "1"], 2),
@@ -425,3 +425,19 @@ def test_console_entry_exit_codes():
         proc = subprocess.run([sys.executable, "-m", "spechtend.cli", *argv],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == want, (argv, proc.stderr)
+
+
+def test_closed_stdout_is_a_usage_error():
+    # a reader that went away is neither an internal error nor a success
+    for argv in (["scan", "--max-r", "5"], ["verify", "--a", "3", "--m", "2", "--b", "3"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "spechtend.cli", *argv],
+                                  env=_cli_env(), stdout=write, stderr=subprocess.PIPE,
+                                  text=True, timeout=120)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert "error: output closed before the run finished" in proc.stderr

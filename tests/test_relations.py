@@ -9,6 +9,7 @@ from spechtend.partitions import (
     enumerate_tables,
     order_compare,
     transpose,
+    transpose_table,
 )
 from spechtend.partitions import staircase_families, staircase_family
 from spechtend.relations import (
@@ -31,14 +32,13 @@ from oracles import (
     partitions_of,
     reference_relation_system,
     solve_relevance_reference,
-    tab_matrices,
     z_coefficient_complement,
 )
 
 
 def as_sets(built):
-    """Built rows as frozensets of TabMatrix, the form the references use."""
-    return {frozenset(map(TabMatrix, targets)) for targets, _ in built}
+    """Built rows as frozensets of tables, the form the references use."""
+    return {frozenset(targets) for targets, _ in built}
 
 
 def small_pairs(max_r):
@@ -55,7 +55,7 @@ def test_forced_row_smallest_case():
     alpha = beta = Composition((2, 1))
     rows = build_R_rows(alpha, beta, 1, 2)
     assert len(rows) == 1
-    assert as_sets(rows) == {frozenset({TabMatrix([[2, 0], [0, 1]])})}
+    assert as_sets(rows) == {frozenset({((2, 0), (0, 1))})}
     assert relation_provenance(relation_system(alpha, beta))[0].startswith("R(1,2)")
 
 
@@ -71,7 +71,7 @@ def test_R_rows_reject_bad_indices():
 def test_R_rows_match_corollary_form():
     # the per-splitting-table rows and the per-(A,k) rows are the same sets
     for alpha, beta in small_pairs(5):
-        tables = tab_matrices(alpha, beta)
+        tables = enumerate_tables(alpha, beta)
         for i in range(1, alpha.width + 1):
             for j in range(i + 1, alpha.width + 1):
                 built = as_sets(build_R_rows(alpha, beta, i, j))
@@ -80,7 +80,7 @@ def test_R_rows_match_corollary_form():
 
 def test_C_rows_match_corollary_form():
     for alpha, beta in small_pairs(5):
-        tables = tab_matrices(alpha, beta)
+        tables = enumerate_tables(alpha, beta)
         for i in range(1, beta.width + 1):
             for j in range(i + 1, beta.width + 1):
                 built = as_sets(build_C_rows(alpha, beta, i, j))
@@ -93,14 +93,14 @@ def test_C_rows_are_transposed_R_rows():
             for j in range(i + 1, beta.width + 1):
                 c_rows = as_sets(build_C_rows(alpha, beta, i, j))
                 r_rows = {
-                    frozenset(A.transpose() for A in row)
+                    frozenset(map(transpose_table, row))
                     for row in as_sets(build_R_rows(beta, alpha, i, j))
                 }
                 assert c_rows == r_rows
 
 
 def test_relation_system_matches_reference_builder():
-    # the tuple-table engine reproduces the TabMatrix builder exactly: table
+    # the tuple-table engine reproduces the seed's builder exactly: table
     # order, rows and first-occurrence provenance, hence dump-relations too
     cases = []
     for r in range(1, 8):
@@ -111,7 +111,7 @@ def test_relation_system_matches_reference_builder():
     for alpha, beta in cases:
         sys = relation_system(alpha, beta)
         tables, rows, provenance = reference_relation_system(alpha.parts, beta.parts)
-        assert sys.tables == [A.entries for A in tables], (alpha, beta)
+        assert sys.tables == tables, (alpha, beta)
         assert [list(row) for row in sys.rows] == rows, (alpha, beta)
         assert relation_provenance(sys) == provenance, (alpha, beta)
 
@@ -166,7 +166,7 @@ def test_relevance_dim_matches_materialized_r5():
 
 
 def test_z_coefficient_examples():
-    A = TabMatrix([[1, 3], [2, 0]])
+    A = ((1, 3), (2, 0))
     assert z_coefficient(A, 1, 1) == (0 + 1 + 1) % 2 == 0
     assert z_coefficient(A, 2, 1) == (1 + 2 + 1) % 2 == 0
     assert z_coefficient(A, 1, 2) == (3 + 1 + 2) % 2 == 0
@@ -174,29 +174,29 @@ def test_z_coefficient_examples():
 
 def test_z_coefficient_rejects_out_of_range():
     with pytest.raises(InvalidParameter):
-        z_coefficient(TabMatrix([[1]]), 1, 2)
+        z_coefficient(((1,),), 1, 2)
 
 
 def test_z_coefficient_complement_agrees():
     for alpha, beta in small_pairs(5):
-        for A in tab_matrices(alpha, beta):
-            for j in range(1, A.nrows + 1):
-                for k in range(1, A.ncols + 1):
+        for A in enumerate_tables(alpha, beta):
+            for j in range(1, len(A) + 1):
+                for k in range(1, len(A[0]) + 1):
                     assert z_coefficient(A, j, k) == z_coefficient_complement(A, j, k)
 
 
 def test_Z_row_corner_cells():
     # bottom-right corner: no exchange partners, and z vanishes here
-    A = TabMatrix([[2, 0], [0, 1]])
+    A = ((2, 0), (0, 1))
     assert z_coefficient(A, 2, 2) == 0
     assert build_Z_row(A, 2, 2) == frozenset()
     # a single-row table with z = 1: the row is just {A}
-    B = TabMatrix([[2, 1]])
+    B = ((2, 1),)
     assert z_coefficient(B, 1, 2) == 1
     assert build_Z_row(B, 1, 2) == frozenset({B})
     # bottom-left cell of [[1,1],[1,0]] exchanges with the odd (1,2) entry
-    C = TabMatrix([[1, 1], [1, 0]])
-    assert build_Z_row(C, 2, 1) == frozenset({TabMatrix([[2, 0], [0, 1]])})
+    C = ((1, 1), (1, 0))
+    assert build_Z_row(C, 2, 1) == frozenset({((2, 0), (0, 1))})
     with pytest.raises(InvalidParameter):
         build_Z_row(C, 2, 2)
 
@@ -204,10 +204,10 @@ def test_Z_row_corner_cells():
 def test_Z_row_targets_precede_generator():
     # every other table in a Z row is earlier in both the row and column orders
     for alpha, beta in small_pairs(5):
-        for A in tab_matrices(alpha, beta):
-            for j in range(1, A.nrows + 1):
-                for k in range(1, A.ncols + 1):
-                    if A.entry(j, k) == 0:
+        for A in enumerate_tables(alpha, beta):
+            for j in range(1, len(A) + 1):
+                for k in range(1, len(A[0]) + 1):
+                    if A[j - 1][k - 1] == 0:
                         continue
                     for B in build_Z_row(A, j, k):
                         if B == A:
@@ -226,16 +226,16 @@ def test_Z_rows_redundant_for_small_partitions():
             for row in sys.row_ints():
                 ech.insert(row)
             index = {T: c for c, T in enumerate(sys.tables)}
-            for A in map(TabMatrix, sys.tables):
-                for j in range(1, A.nrows + 1):
-                    for k in range(1, A.ncols + 1):
-                        if A.entry(j, k) == 0:
+            for A in sys.tables:
+                for j in range(1, len(A) + 1):
+                    for k in range(1, len(A[0]) + 1):
+                        if A[j - 1][k - 1] == 0:
                             continue
                         z = build_Z_row(A, j, k)
                         bits = 0
                         for B in z:
-                            bits |= 1 << index[B.entries]
-                        assert ech.contains(bits), (parts, A.to_lists(), j, k)
+                            bits |= 1 << index[B]
+                        assert ech.contains(bits), (parts, A, j, k)
 
 
 def test_transpose_hom_involution():
