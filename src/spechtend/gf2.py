@@ -36,10 +36,6 @@ class Gf2Matrix:
         self.nrows = len(rows)
         self.ncols = ncols
 
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Gf2Matrix":
-        return cls([0] * nrows, ncols)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Gf2Matrix)

@@ -1,12 +1,13 @@
 """Compositions, partitions, margin-constrained integer matrices and their moves.
 
-A table is a plain tuple of row tuples.  `enumerate_tables` returns tables in
-that form and every function in the package takes and returns them; only the
-support of a solution is handed out as TabMatrix records.
+Margins are validated tuples: Composition and Partition subclass tuple and
+check their parts on construction.  A table is a plain tuple of row tuples.
+`enumerate_tables` returns tables in that form and every function in the
+package takes and returns them; only the support of a solution is handed out
+as TabMatrix records.
 
 Row/column indices in the public functions here are 1-based, matching the
-conventions used for serialized matrices.  Sequence access on Composition and
-on tables is plain 0-based Python indexing.
+conventions used for serialized matrices.
 """
 from __future__ import annotations
 
@@ -18,94 +19,69 @@ from .errors import CapExceeded, DegreeMismatch, InternalError, InvalidParameter
 Table = Tuple[Tuple[int, ...], ...]
 
 
-class Composition:
+class Composition(tuple):
     """A finite tuple of nonnegative integers."""
 
-    __slots__ = ("_parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int]):
-        parts = tuple(int(p) for p in parts)
-        for p in parts:
-            if p < 0:
-                raise InvalidParameter(f"negative part in composition: {parts}")
-        self._parts = parts
+    def __new__(cls, parts: Iterable[int]) -> "Composition":
+        self = super().__new__(cls, map(int, parts))
+        if any(p < 0 for p in self):
+            raise InvalidParameter(f"negative part in composition: {self.parts}")
+        return self
 
     @property
     def parts(self) -> Tuple[int, ...]:
-        return self._parts
+        return tuple(self)
 
     @property
     def degree(self) -> int:
-        return sum(self._parts)
+        return sum(self)
 
     @property
     def length(self) -> int:
         """Index of the last nonzero part (1-based), 0 for the zero tuple."""
-        for i in range(len(self._parts) - 1, -1, -1):
-            if self._parts[i] != 0:
+        for i in range(len(self) - 1, -1, -1):
+            if self[i] != 0:
                 return i + 1
         return 0
 
     @property
     def width(self) -> int:
-        return len(self._parts)
+        return len(self)
 
     def shifted(self, i: int, j: int, k: int) -> "Composition":
         """Add k to part i and subtract k from part j (1-based indices)."""
         if not (1 <= i <= self.width and 1 <= j <= self.width):
             raise InvalidParameter(f"shift indices ({i},{j}) out of range for {self}")
-        new = list(self._parts)
+        new = list(self)
         new[i - 1] += k
         new[j - 1] -= k
         if new[j - 1] < 0:
             raise InvalidParameter(f"shift by {k} makes part {j} of {self} negative")
         return Composition(new)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._parts)
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self._parts[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Composition) and self._parts == other._parts
-
-    def __hash__(self) -> int:
-        return hash(self._parts)
-
     def __repr__(self) -> str:
-        return f"{type(self).__name__}{self._parts}"
+        return f"{type(self).__name__}{self.parts}"
 
 
 class Partition(Composition):
-    """A weakly decreasing composition with no internal zeros."""
+    """A weakly decreasing composition; trailing zeros are stripped."""
 
-    def __init__(self, parts: Iterable[int]):
-        super().__init__(parts)
-        p = self._parts
-        # trailing zeros are tolerated on input but stripped
-        n = self.length
-        for i in range(n, len(p)):
-            if p[i] != 0:
-                raise InvalidParameter(f"not weakly decreasing: {p}")
-        p = p[:n]
-        for i in range(len(p) - 1):
-            if p[i] < p[i + 1]:
-                raise InvalidParameter(f"not weakly decreasing: {p}")
-        self._parts = p
+    __slots__ = ()
+
+    def __new__(cls, parts: Iterable[int]) -> "Partition":
+        c = Composition(parts)
+        p = c[: c.length]
+        if any(x < y for x, y in zip(p, p[1:])):
+            raise InvalidParameter(f"not weakly decreasing: {p}")
+        return super().__new__(cls, p)
 
 
 def transpose(p: Partition) -> Partition:
     """Conjugate partition: result[j] = #{i : p[i] >= j+1}."""
-    if not isinstance(p, Partition):
-        p = Partition(p)
-    if p.length == 0:
-        return Partition(())
-    top = p[0]
-    return Partition(tuple(sum(1 for q in p if q >= j) for j in range(1, top + 1)))
+    p = Partition(p)
+    return Partition(sum(1 for q in p if q >= j) for j in range(1, max(p, default=0) + 1))
 
 
 def parse_parts(text: str) -> Tuple[int, ...]:
@@ -151,20 +127,19 @@ def transpose_table(A: Table) -> Table:
     return tuple(zip(*A))
 
 
-def _row_fillings(n: int, caps: Tuple[int, ...]) -> List[Tuple[int, ...]]:
-    """All rows v with sum n and 0 <= v[j] <= caps[j], in ascending lex order.
+def _row_fillings(n: int, caps: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+    """Every row v with sum n and 0 <= v[j] <= caps[j], in ascending lex order.
 
     Needs n <= sum(caps); the lower bound on each entry leaves the later
     entries room for the rest, so no branch is a dead end.
     """
     if len(caps) <= 1:
-        return [(n,)] if caps else [()]
+        yield (n,) if caps else ()
+        return
     room = sum(caps) - caps[0]
-    return [
-        (v,) + tail
-        for v in range(max(0, n - room), min(n, caps[0]) + 1)
-        for tail in _row_fillings(n - v, caps[1:])
-    ]
+    for v in range(max(0, n - room), min(n, caps[0]) + 1):
+        for tail in _row_fillings(n - v, caps[1:]):
+            yield (v,) + tail
 
 
 def enumerate_tables(
@@ -174,43 +149,37 @@ def enumerate_tables(
 
     Output is in ascending lexicographic order of the row-major entry
     sequence; this is the canonical column order for relation systems.
-    Raises CapExceeded once more than max_tables tables are found.
+    The cap bounds the work: each state's list of row suffixes is checked as
+    it grows, so more than max_tables tables raise CapExceeded after
+    O(max_tables) work.  So do margins too long for the recursion limit.
     """
     alpha, beta = tuple(alpha), tuple(beta)
     if sum(alpha) != sum(beta):
         raise DegreeMismatch(f"deg{alpha} != deg{beta}")
-    out: List[Table] = []
     last = len(alpha) - 1
-    # (row sum, column room) -> [(row, column room left)]; the same states
-    # recur across the tree
-    memo: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[Tuple[int, ...], ...]]] = {}
+    # (row index, column room) -> rows i.. of the tables that fill the room
+    memo: Dict[Tuple[int, Tuple[int, ...]], List[Table]] = {}
 
-    def emit(tables: List[Table]) -> None:
-        out.extend(tables)
-        if max_tables is not None and len(out) > max_tables:
-            raise CapExceeded(f"more than {max_tables} tables for {alpha}/{beta}")
-
-    def fill(i: int, col_rem: Tuple[int, ...], prefix: Table) -> None:
-        key = (alpha[i], col_rem)
-        choices = memo.get(key)
-        if choices is None:
-            choices = memo[key] = [
-                (row, tuple([c - v for c, v in zip(col_rem, row)]))
-                for row in _row_fillings(alpha[i], col_rem)
-            ]
-        if i + 1 < last:
-            for row, rem in choices:
-                fill(i + 1, rem, prefix + (row,))
-        else:
+    def suffixes(i: int, room: Tuple[int, ...]) -> List[Table]:
+        if i == last:
             # margins of equal sum always admit a nonnegative table, so the
             # last row is forced to be what the columns still need
-            emit([prefix + pair for pair in choices])
+            return [(room,)]
+        out = memo.get((i, room))
+        if out is None:
+            out = memo[i, room] = []
+            for row in _row_fillings(alpha[i], room):
+                head, rest = (row,), tuple([c - v for c, v in zip(room, row)])
+                out += [head + tail for tail in suffixes(i + 1, rest)]
+                if max_tables is not None and len(out) > max_tables:
+                    raise CapExceeded(f"more than {max_tables} tables for {alpha}/{beta}")
+        return out
 
-    if last < 1:
-        emit([(beta,) if alpha else ()])
-    else:
-        fill(0, beta, ())
-    return out
+    try:
+        return suffixes(0, beta) if alpha else [()]
+    except RecursionError:
+        raise CapExceeded(f"margins of widths {len(alpha)} and {len(beta)} exceed the "
+                          "recursion limit") from None
 
 
 def unit_exchange(A: Table, axis: str, i: int, j: int, k: int, l: int) -> Table:
@@ -295,18 +264,16 @@ def staircase_family(a: int, m: int, b: int) -> StaircaseFamily:
     return StaircaseFamily(a, m, b, a_p, b_p, lam, lam_t, alpha, beta, lam.degree)
 
 
-def staircase_families(max_r: int):
-    """All staircase families with degree <= max_r, ordered by (r, a, m, b)."""
+def staircase_families(max_r: int) -> List[StaircaseFamily]:
+    """All staircase families with degree <= max_r, ordered by (r, a, m, b).
+
+    The degree is r = a + m(m-1)/2 - 1 + b, so r, a and m fix b.
+    """
     fams = []
-    m = 2
-    while True:
-        base = m * (m - 1) // 2 - 1  # degree of the staircase part (m-1, ..., 2)
-        if m + base + 1 > max_r:
-            break
-        for a in range(m, max_r + 1):
-            for b in range(1, max_r + 1):
-                if a + base + b <= max_r:
+    for r in range(max_r + 1):
+        for a in range(2, r):
+            for m in range(2, a + 1):
+                b = r + 1 - a - m * (m - 1) // 2
+                if b >= 1:
                     fams.append(staircase_family(a, m, b))
-        m += 1
-    fams.sort(key=lambda f: (f.r, f.a, f.m, f.b))
     return fams

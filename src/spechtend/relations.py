@@ -162,10 +162,7 @@ def relevance_system(
     lam: Partition, max_tables: int = DEFAULT_MAX_TABLES
 ) -> RelationSystem:
     """The system whose nullspace is the relevant space for M(lam') -> M(lam)."""
-    lam_t = transpose(lam)
-    return relation_system(
-        Composition(lam_t.parts), Composition(lam.parts), max_tables
-    )
+    return relation_system(transpose(lam), lam, max_tables)
 
 
 @dataclass

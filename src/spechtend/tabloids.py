@@ -134,13 +134,7 @@ def boundary_map(
     """Matrix of phi-bar/psi-bar for lam at (i, j, s).
 
     phi: M(lam^(i,j,s)) -> M(lam); psi: M(lam) -> M(lam^(i,j,s)).
-    For j beyond the length of lam the map is zero by convention; it is
-    returned with an empty domain (phi) or codomain (psi).
     """
-    n = lam.length
-    if j > n:
-        d = tabloid_dim(lam)
-        return Gf2Matrix.zeros(d, 0) if kind == "phi" else Gf2Matrix.zeros(0, d)
     return rho_matrix(boundary_table(lam, kind, i, j, s), max_bits)
 
 

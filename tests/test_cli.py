@@ -34,6 +34,16 @@ def test_tables_json(capsys):
     assert {"alpha": [4, 2], "beta": [3, 3], "entries": [[2, 2], [1, 1]]} in recs
 
 
+def test_tables_wider_than_the_recursion_limit_is_a_cap(capsys):
+    with pytest.raises(CapExceeded):
+        partitions.enumerate_tables((1,) * 2000, (2000,))
+    assert partitions.enumerate_tables((2000,), (1,) * 2000) == [((1,) * 2000,)]
+    ones = ",".join(["1"] * 1100)
+    code, out, err = run(capsys, ["tables", "--alpha", ones, "--beta", "1100"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_rel_dim_lambda(capsys):
     code, out, _ = run(capsys, ["rel-dim", "--lambda", "2,1"])
     assert code == 0

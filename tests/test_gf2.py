@@ -49,7 +49,7 @@ def test_mat_mul_matches_naive():
 
 def test_mat_mul_dimension_mismatch():
     with pytest.raises(InvalidParameter):
-        mat_mul(Gf2Matrix.zeros(2, 3), Gf2Matrix.zeros(2, 3))
+        mat_mul(Gf2Matrix([0, 0], 3), Gf2Matrix([0, 0], 3))
 
 
 def nullspace(M):

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +17,7 @@ from spechtend.partitions import (
     unit_exchange,
 )
 
-from oracles import conjugate, count_tables_brute, partitions_of
+from oracles import conjugate, count_tables_brute, enumerate_tables_reference, partitions_of
 
 
 small_partitions = st.integers(1, 7).flatmap(
@@ -107,6 +110,12 @@ def test_staircase_families_ordering():
     keys = [(f.r, f.a, f.m, f.b) for f in fams]
     assert keys == sorted(keys)
     assert all(f.r <= 9 for f in fams)
+    # complete as well as sorted: every family of each degree is listed
+    small = [staircase_family(a, m, b) for a in range(2, 21) for m in range(2, min(a, 7) + 1)
+             for b in range(1, 21)]
+    for r in range(21):
+        want = sorted((f.a, f.m, f.b) for f in small if f.r <= r)
+        assert sorted((f.a, f.m, f.b) for f in staircase_families(r)) == want
 
 
 def test_enumerate_tables_permutation_case():
@@ -133,6 +142,31 @@ def test_enumerate_tables_degree_mismatch():
 def test_enumerate_tables_cap():
     with pytest.raises(CapExceeded):
         enumerate_tables(Composition((2, 2, 2)), Composition((2, 2, 2)), max_tables=2)
+
+
+def _compositions(r, nparts):
+    """Every composition of r into the given numbers of parts, zero parts allowed."""
+    return [c for k in nparts for c in itertools.product(range(r + 1), repeat=k) if sum(c) == r]
+
+
+def test_enumerate_tables_matches_reference():
+    cases = [(a, b) for r in range(6) for a in _compositions(r, range(1, 5))
+             for b in _compositions(r, range(1, 5))]
+    cases += [((1,) * n, row) for n in range(9) for row in _compositions(n, range(1, 4))]
+    for alpha, beta in cases:
+        assert enumerate_tables(alpha, beta) == enumerate_tables_reference(alpha, beta)
+
+
+def test_enumerate_tables_cap_bounds_the_work():
+    # 48,620 fillings of the first row; a refusal must not list them first
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            enumerate_tables((9, 9), (1,) * 18, max_tables=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 compositions = st.lists(st.integers(0, 4), min_size=1, max_size=4).map(Composition)

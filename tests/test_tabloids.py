@@ -202,19 +202,13 @@ def test_psi_phi_composite_vanishes():
     assert not any(mat_mul(psi, phi).rows)  # multiplication by 2 = 0
 
 
-def test_boundary_zero_map_beyond_length():
-    lam = Partition((2, 1))
-    phi = boundary_map(lam, "phi", 1, 3, 1)
-    assert phi.ncols == 0 and phi.nrows == tabloid_dim(Composition((2, 1)))
-    psi = boundary_map(lam, "psi", 1, 3, 1)
-    assert psi.nrows == 0 and psi.ncols == tabloid_dim(Composition((2, 1)))
-
-
 def test_boundary_rejects_bad_indices():
     with pytest.raises(InvalidParameter):
         boundary_table(Partition((2, 1)), "phi", 2, 1, 1)
     with pytest.raises(InvalidParameter):
         boundary_table(Partition((2, 1)), "phi", 1, 2, 2)
+    with pytest.raises(InvalidParameter):
+        boundary_table(Partition((2, 1)), "psi", 1, 3, 1)
 
 
 def test_specht_sign_module():
