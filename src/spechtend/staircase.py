@@ -291,7 +291,8 @@ def check_family(
     run_oracle: bool = True,
 ) -> VerifyReport:
     """Solve the flat system, run the oracle (end_dim None when capped) and
-    audit the support, for any family; a failed claim never raises."""
+    audit the support, for any family.  A failed claim never raises; an
+    oracle End above Rel raises InternalError, since End <= Rel always."""
     t0 = time.monotonic()
     sys = flat_relevance_system(family, max_tables)
     rel = solve_relevance(sys)
@@ -302,6 +303,8 @@ def check_family(
         except CapExceeded:
             pass
     audits = structural_lemma_audit(family, rel)
+    if end_dim is not None and end_dim > rel.dim:
+        raise InternalError(f"oracle End {end_dim} > Rel {rel.dim} for {family.lam.parts}")
     elapsed = int((time.monotonic() - t0) * 1000)
     return VerifyReport(
         family,

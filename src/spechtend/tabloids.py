@@ -1,22 +1,23 @@
-"""Permutation modules on tabloid bases and their homomorphism matrices.
+"""Permutation modules on tabloids, the maps rho[A] and the End oracle.
 
 A tabloid for a composition alpha of r is an ordered sequence of disjoint
 blocks partitioning {1..r}, block i of size alpha_i.  Each block is an int
 bitmask in which bit e-1 stands for element e, so a tabloid is a tuple of
 block bitmasks.  The basis is ordered lexicographically on the concatenated
-sorted blocks.  Matrices of maps between permutation modules use the
-column-vector convention: rows are indexed by the codomain basis, columns by
-the domain basis.
+sorted blocks.  `_image` is how rho[A] acts on one tabloid.  Matrices use the
+column-vector convention (rows index the codomain basis); the oracle builds
+none, as it checks each condition at one generating tabloid.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .errors import CapExceeded, InternalError, InvalidParameter
-from .gf2 import Gf2Matrix, TaggedEchelon, mat_mul
+from .gf2 import Gf2Matrix, TaggedEchelon
 from .limits import DEFAULT_MAX_BITS
 from .partitions import Composition, Partition, Table, enumerate_tables, transpose
 
@@ -79,29 +80,41 @@ def enumerate_tabloids(alpha: Composition, max_bits: int = DEFAULT_MAX_BITS) -> 
     return _basis_cached(alpha.parts)
 
 
-def rho_matrix(A: Table, max_bits: int = DEFAULT_MAX_BITS) -> Gf2Matrix:
-    """Matrix of rho[A] : M(alpha) -> M(beta) in canonical tabloid bases.
+def _x0(mu: Composition) -> Tabloid:
+    """The tabloid with blocks {1..mu_1}, {mu_1+1..mu_1+mu_2}, ...; it generates
+    M(mu), so an equivariant map out of M(mu) is zero iff it kills _x0(mu)."""
+    ends = itertools.accumulate(mu, initial=0)
+    return tuple((1 << b) - (1 << a) for a, b in itertools.pairwise(ends))
 
-    The image of a domain tabloid x is the mod-2 sum over all ways to split
-    each block x_i into pieces of sizes (a_i1, ..., a_iC), reassembling
-    output block j as the union of the i -> j pieces.  The rows of A must be
-    tuples: the cached splitter is keyed on them.
-    """
+
+def _image(A: Table, x: Tabloid) -> Iterator[Tabloid]:
+    """rho[A](x) with multiplicity: each block x_i splits into pieces of sizes
+    (a_i1, ..., a_iC) in every way, and output block j is the union (the sum:
+    they are disjoint) of the pieces i -> j, which zip(*choice) groups.  The
+    rows of A must be tuples: _splits is keyed on them."""
+    for choice in itertools.product(*map(_splits, x, A)):
+        yield tuple(map(sum, zip(*choice)))
+
+
+def _apply(A: Table, xs: List[Tabloid]) -> List[Tabloid]:
+    """rho[A] of the mod-2 sum of xs, as the tabloids with coefficient 1."""
+    counts = Counter(y for x in xs for y in _image(A, x))
+    return [y for y, n in counts.items() if n & 1]
+
+
+def rho_matrix(A: Table, max_bits: int = DEFAULT_MAX_BITS) -> Gf2Matrix:
+    """Matrix of rho[A] : M(alpha) -> M(beta) in canonical tabloid bases;
+    column x holds `_image(A, x)`."""
     alpha, beta = Composition(map(sum, A)), Composition(map(sum, zip(*A)))
     dom = enumerate_tabloids(alpha, max_bits)
     cod = enumerate_tabloids(beta, max_bits)
     if dom.dim * cod.dim > max_bits:
-        raise CapExceeded(
-            f"rho matrix {cod.dim}x{dom.dim} exceeds the bit budget"
-        )
+        raise CapExceeded(f"rho matrix {cod.dim}x{dom.dim} exceeds the bit budget")
     cod_rank = cod.index
     rows = [0] * cod.dim
     for v, x in enumerate(dom.elements):
-        bit = 1 << v
-        for choice in itertools.product(*map(_splits, x, A)):
-            # zip(*choice) yields, per output block j, the pieces i -> j;
-            # they are disjoint, so their sum is their union
-            rows[cod_rank[tuple(map(sum, zip(*choice)))]] ^= bit
+        for y in _image(A, x):
+            rows[cod_rank[y]] ^= 1 << v
     return Gf2Matrix(rows, dom.dim)
 
 
@@ -138,20 +151,6 @@ def boundary_map(
     return rho_matrix(boundary_table(lam, kind, i, j, s), max_bits)
 
 
-def _pack_rows(mats: Iterable[Gf2Matrix]) -> int:
-    """Pack matrices row-major into one int, each row padded to whole bytes.
-
-    The layout is an injective linear map, so ranks and kernels are those of
-    the plain concatenation.  Building the int once from bytes keeps packing
-    linear in its length; ORing each row into a growing int is quadratic.
-    """
-    pieces = []
-    for M in mats:
-        width = (M.ncols + 7) // 8
-        pieces.extend(row.to_bytes(width, "little") for row in M.rows)
-    return int.from_bytes(b"".join(pieces), "little")
-
-
 def _boundary_indices(mu: Partition, adjacent: bool) -> List[Tuple[int, int, int]]:
     """The (i, j, s) of the boundary maps on mu that hom_solution_space uses."""
     n = mu.length
@@ -160,54 +159,54 @@ def _boundary_indices(mu: Partition, adjacent: bool) -> List[Tuple[int, int, int
     return [(i, j, 1) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def hom_solution_space(
-    lam: Partition,
-    adjacent: bool,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> Tuple[int, List[int]]:
+def hom_solution_space(lam: Partition, adjacent: bool,
+                       max_bits: int = DEFAULT_MAX_BITS) -> Tuple[int, List[int]]:
     """Coefficient vectors x over Tab(lam', lam) killed by the boundary maps.
 
     adjacent=True uses all phi-bar^(i,i+1,s) on the right and all
     psi-bar^(i,i+1,t) on the left (the End(Sp) characterization);
     adjacent=False uses the (i,j,1) maps for all i < j (the relevant space).
-    Returns (dim, kernel basis as bit vectors over the canonical table
-    order).
+    Each condition is checked at a generating tabloid: rho[T] . phi = 0 iff
+    rho[T](phi(x0)) = 0, and psi . rho[T] = 0 iff psi(rho[T](x0)) = 0.  The
+    coordinates are (condition, tabloid) pairs, numbered as they are met.
+    Returns (dim, kernel basis as bit vectors over the canonical table order).
     """
     lam_t = transpose(lam)
-    d_lam = tabloid_dim(lam)
-    d_lamt = tabloid_dim(lam_t)
-    if d_lam * d_lamt > max_bits:
-        raise CapExceeded("rho materialization exceeds the bit budget")
+    phis = [(boundary_table(lam_t, "phi", *k), lam_t.shifted(*k))
+            for k in _boundary_indices(lam_t, adjacent)]
+    psis = [(boundary_table(lam, "psi", *k), lam.shifted(*k))
+            for k in _boundary_indices(lam, adjacent)]
+    # The budget sizes the dense solve this one replaced, from tabloid
+    # dimensions alone: each rho[T], each boundary matrix and a stacked product
+    # vector per table.  It stays so that capped records remain comparable.
+    d_lam, d_lamt = tabloid_dim(lam), tabloid_dim(lam_t)
+    d_phi = [tabloid_dim(mu) for _, mu in phis]
+    d_psi = [tabloid_dim(mu) for _, mu in psis]
+    if max([d_lam] + d_phi) * d_lamt > max_bits or max(d_psi, default=0) * d_lam > max_bits:
+        raise CapExceeded(f"oracle for {lam.parts} exceeds the bit budget")
     tables = enumerate_tables(lam_t, lam)
+    if (d_lam * sum(d_phi) + d_lamt * sum(d_psi)) * max(1, len(tables)) > max_bits:
+        raise CapExceeded(f"stacked solution system for {lam.parts} exceeds the bit budget")
 
-    phi_idx = _boundary_indices(lam_t, adjacent)
-    psi_idx = _boundary_indices(lam, adjacent)
-    # honest size of the stacked vectorized system: one long bit vector per
-    # table, concatenating every product matrix
-    vec_len = (d_lam * sum(tabloid_dim(lam_t.shifted(*k)) for k in phi_idx)
-               + d_lamt * sum(tabloid_dim(lam.shifted(*k)) for k in psi_idx))
-    if vec_len * max(1, len(tables)) > max_bits:
-        raise CapExceeded(
-            f"stacked solution system for {lam.parts} exceeds the bit budget"
-        )
-    phis = [boundary_map(lam_t, "phi", i, j, s, max_bits) for (i, j, s) in phi_idx]
-    psis = [boundary_map(lam, "psi", i, j, t, max_bits) for (i, j, t) in psi_idx]
-
+    phi_x0 = [_apply(P, [_x0(mu)]) for P, mu in phis]
+    coords: Dict[Tuple[int, Tabloid], int] = {}
     ech = TaggedEchelon()
     kernel: List[int] = []
     for col, T in enumerate(tables):
-        R = rho_matrix(T, max_bits)
-        acc = _pack_rows(itertools.chain(
-            (mat_mul(R, phi) for phi in phis), (mat_mul(psi, R) for psi in psis)
-        ))
-        dep = ech.insert(acc, 1 << col)
+        rho_x0 = _apply(T, [_x0(lam_t)])
+        terms = [(T, ys) for ys in phi_x0] + [(P, rho_x0) for P, _ in psis]
+        hit = [coords.setdefault((c, z), len(coords))
+               for c, (A, ys) in enumerate(terms) for z in _apply(A, ys)]
+        bits = bytearray(len(coords) // 8 + 1)
+        for i in hit:
+            bits[i >> 3] |= 1 << (i & 7)
+        dep = ech.insert(int.from_bytes(bits, "little"), 1 << col)
         if dep is not None:
             kernel.append(dep)
     return len(kernel), kernel
 
 
 def end_dimension_oracle(lam: Partition, max_bits: int = DEFAULT_MAX_BITS) -> int:
-    """dim End(Sp(lam)) by brute-force materialization."""
+    """dim End(Sp(lam)), each boundary condition checked at a generating tabloid."""
     dim, _ = hom_solution_space(lam, adjacent=True, max_bits=max_bits)
     return dim
-

@@ -7,12 +7,24 @@ from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from spechtend.errors import CapExceeded, InvalidParameter
-from spechtend.gf2 import Echelon, Gf2Matrix
+from spechtend.gf2 import Echelon, Gf2Matrix, TaggedEchelon, mat_mul
 from spechtend.limits import DEFAULT_MAX_BITS
-from spechtend.partitions import Composition, TabMatrix, unit_exchange
+from spechtend.partitions import (
+    Composition,
+    TabMatrix,
+    enumerate_tables,
+    transpose,
+    unit_exchange,
+)
 from spechtend.relations import RelevanceResult
 from spechtend.staircase import omega_expand
-from spechtend.tabloids import boundary_map, enumerate_tabloids, tabloid_dim
+from spechtend.tabloids import (
+    _boundary_indices,
+    boundary_map,
+    enumerate_tabloids,
+    rho_matrix,
+    tabloid_dim,
+)
 
 
 def partitions_of(r: int) -> List[Tuple[int, ...]]:
@@ -45,17 +57,17 @@ def conjugate(parts: Sequence[int]) -> Tuple[int, ...]:
 
 
 def count_tables_brute(alpha: Sequence[int], beta: Sequence[int]) -> int:
-    """Count margin matrices by brute force over entry assignments."""
-    nr, nc = len(alpha), len(beta)
-    count = 0
-    ranges = [range(min(alpha[i], beta[j]) + 1) for i in range(nr) for j in range(nc)]
-    for flat in itertools.product(*ranges):
-        rows = [flat[i * nc : (i + 1) * nc] for i in range(nr)]
-        if all(sum(rows[i]) == alpha[i] for i in range(nr)) and all(
-            sum(r[j] for r in rows) == beta[j] for j in range(nc)
-        ):
-            count += 1
-    return count
+    """Count margin matrices by brute force, one row at a time: every
+    assignment of row i within the column room left, kept if it sums to alpha_i."""
+
+    def count(i: int, room: Tuple[int, ...]) -> int:
+        if i == len(alpha):
+            return int(not any(room))
+        rows = itertools.product(*(range(min(alpha[i], c) + 1) for c in room))
+        return sum(count(i + 1, tuple(c - e for c, e in zip(room, row)))
+                   for row in rows if sum(row) == alpha[i])
+
+    return count(0, tuple(beta))
 
 
 def naive_gf2_mul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
@@ -383,14 +395,56 @@ def distribute_rows_reference(head, tail_counts, nrows):
     return out
 
 
-def pack_rows_reference(mats) -> int:
-    """Row-major packing with no padding, by shift-and-OR into one int."""
-    acc, offset = 0, 0
+def pack_rows(mats) -> int:
+    """Pack matrices row-major into one int, each row padded to whole bytes.
+
+    The layout is an injective linear map, so ranks and kernels are those of
+    the plain concatenation.  Building the int once from bytes keeps packing
+    linear in its length; ORing each row into a growing int is quadratic.
+    """
+    pieces = []
     for M in mats:
-        for row in M.rows:
-            acc |= row << offset
-            offset += M.ncols
-    return acc
+        width = (M.ncols + 7) // 8
+        pieces.extend(row.to_bytes(width, "little") for row in M.rows)
+    return int.from_bytes(b"".join(pieces), "little")
+
+
+def hom_solution_space_dense(lam, adjacent: bool, max_bits: int = DEFAULT_MAX_BITS):
+    """`tabloids.hom_solution_space` by the dense stacked solve it replaced.
+
+    Every rho[T] and boundary map is a matrix; the products rho[T] . phi and
+    psi . rho[T] are packed into one bit vector per table.  The cap is the
+    package's: the bits of those matrices and of the stacked system.
+    """
+    lam_t = transpose(lam)
+    d_lam = tabloid_dim(lam)
+    d_lamt = tabloid_dim(lam_t)
+    if d_lam * d_lamt > max_bits:
+        raise CapExceeded("rho materialization exceeds the bit budget")
+    tables = enumerate_tables(lam_t, lam)
+
+    phi_idx = _boundary_indices(lam_t, adjacent)
+    psi_idx = _boundary_indices(lam, adjacent)
+    vec_len = (d_lam * sum(tabloid_dim(lam_t.shifted(*k)) for k in phi_idx)
+               + d_lamt * sum(tabloid_dim(lam.shifted(*k)) for k in psi_idx))
+    if vec_len * max(1, len(tables)) > max_bits:
+        raise CapExceeded(
+            f"stacked solution system for {lam.parts} exceeds the bit budget"
+        )
+    phis = [boundary_map(lam_t, "phi", i, j, s, max_bits) for (i, j, s) in phi_idx]
+    psis = [boundary_map(lam, "psi", i, j, t, max_bits) for (i, j, t) in psi_idx]
+
+    ech = TaggedEchelon()
+    kernel: List[int] = []
+    for col, T in enumerate(tables):
+        R = rho_matrix(T, max_bits)
+        acc = pack_rows(itertools.chain(
+            (mat_mul(R, phi) for phi in phis), (mat_mul(psi, R) for psi in psis)
+        ))
+        dep = ech.insert(acc, 1 << col)
+        if dep is not None:
+            kernel.append(dep)
+    return len(kernel), kernel
 
 
 def solve_relevance_reference(sys):

@@ -30,7 +30,7 @@ from spechtend.staircase import (
     theorem_matrix,
     verify_parity_theorem,
 )
-from spechtend.tabloids import _pack_rows, rho_matrix
+from spechtend.tabloids import rho_matrix
 from spechtend.worked_examples import (
     CLASSIFIER_MATRIX,
     check_classifier,
@@ -38,7 +38,7 @@ from spechtend.worked_examples import (
     check_distribute_sets,
 )
 
-from oracles import equivariant_hom_dim, partitions_of, specht_kernel, syt_count
+from oracles import equivariant_hom_dim, pack_rows, partitions_of, specht_kernel, syt_count
 
 
 def _parity_families(max_r):
@@ -110,7 +110,7 @@ def test_criterion_06_rho_basis_claim_r6():
             assert equivariant_hom_dim(alpha, beta) == len(tables)
             ech = TaggedEchelon()
             for c, A in enumerate(tables):
-                acc = _pack_rows([rho_matrix(A)])
+                acc = pack_rows([rho_matrix(A)])
                 assert ech.insert(acc, 1 << c) is None, (pa, pb, c)
             pairs += 1
     print(

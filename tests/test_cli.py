@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from spechtend import cli, gf2, partitions, relations, selftest, staircase
+from spechtend import cli, gf2, partitions, relations, selftest, staircase, tabloids
 from spechtend.errors import CapExceeded
 from spechtend.limits import DEFAULT_MAX_BITS
 
@@ -415,6 +415,27 @@ def test_empty_kernel_is_an_internal_error(capsys, monkeypatch):
     code, _, err = run(capsys, ["verify", "--a", "3", "--m", "2", "--b", "1"])
     assert code == 3
     assert "InternalError: empty support" in err
+
+
+def test_end_above_rel_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # End <= Rel always holds, so an oracle result above Rel is a bug and
+    # must not be recorded, even for a family whose verdict is null
+    seen = []
+
+    def above_rel(lam, max_bits):
+        seen.append(",".join(map(str, lam.parts)))
+        return tabloids.hom_solution_space(lam, adjacent=False)[0] + 1
+
+    monkeypatch.setattr(staircase, "end_dimension_oracle", above_rel)
+    code, out, err = run(capsys, ["verify", "--a", "3", "--m", "2", "--b", "3"])
+    assert (code, out) == (3, "")
+    assert "InternalError: oracle End 2 > Rel 1" in err
+    cache = tmp_path / "scan.jsonl"
+    code, _, err = run(capsys, ["scan", "--max-r", "5", "--parity", "all",
+                                "--cache", str(cache)])
+    assert code == 3
+    assert "InternalError" in err
+    assert seen[-1] not in [r["key"] for r in _lines(cache.read_text())]
 
 
 def _cli_env():

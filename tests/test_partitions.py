@@ -132,6 +132,8 @@ def test_enumerate_tables_count_3():
     got = enumerate_tables(Composition((4, 2)), Composition((3, 3)))
     assert len(got) == 3
     assert ((2, 2), (1, 1)) in got
+    # OEIS A000681: 4 x 4 tables with every margin 2
+    assert count_tables_brute((2, 2, 2, 2), (2, 2, 2, 2)) == 282
 
 
 def test_enumerate_tables_degree_mismatch():

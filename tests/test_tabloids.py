@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +7,14 @@ from hypothesis import strategies as st
 
 from spechtend import tabloids
 from spechtend.errors import CapExceeded, InvalidParameter, VerificationError
-from spechtend.gf2 import Echelon, Gf2Matrix, mat_mul
-from spechtend.partitions import Composition, Partition, enumerate_tables, transpose_table
+from spechtend.gf2 import Gf2Matrix, mat_mul
+from spechtend.partitions import (
+    Composition,
+    Partition,
+    enumerate_tables,
+    transpose,
+    transpose_table,
+)
 from spechtend.tabloids import (
     boundary_map,
     boundary_table,
@@ -25,8 +32,9 @@ from oracles import (
     gf2_identity,
     gf2_to_dense,
     gf2_transpose,
+    hom_solution_space_dense,
     multinomial,
-    pack_rows_reference,
+    pack_rows,
     partitions_of,
     perm_matrix,
     rho_column_reference,
@@ -272,6 +280,57 @@ def test_end_oracle_cap_checked_before_enumerating(monkeypatch):
     monkeypatch.setattr(tabloids, "enumerate_tables", no_enumeration)
     with pytest.raises(CapExceeded):
         end_dimension_oracle(Partition((3, 1, 1, 1)), max_bits=100)
+    # refused by a boundary map's d(domain) * d(codomain) alone: the oracle
+    # builds no rho matrix, but the budget still counts it
+    for parts in ((7, 1), (2, 1, 1, 1, 1, 1, 1)):
+        with pytest.raises(CapExceeded):
+            end_dimension_oracle(Partition(parts), max_bits=4_000_000)
+
+
+def _small_partitions(max_r):
+    return [Partition(p) for r in range(1, max_r + 1) for p in partitions_of(r)]
+
+
+def test_hom_solution_space_matches_dense_reference():
+    # the x0 evaluation gives the dense stacked solve's kernel bit for bit
+    for lam in _small_partitions(6):
+        for adjacent in (True, False):
+            got = tabloids.hom_solution_space(lam, adjacent)
+            assert got == hom_solution_space_dense(lam, adjacent), (lam, adjacent)
+
+
+def test_x0_images_match_dense_products():
+    # each condition's x0 image is column x0 of its dense product, as a set
+    # of codomain tabloids: rho[T] . phi for phi, psi . rho[T] for psi
+    def odd(A, xs):
+        counts = Counter(y for x in xs for y in tabloids._image(A, x))
+        return {y for y, n in counts.items() if n & 1}
+
+    def column0(M, cod):
+        return {y for y, row in zip(cod.elements, M.rows) if row & 1}
+
+    checked = 0
+    for lam in _small_partitions(6):
+        lam_t = transpose(lam)
+        x0 = tabloids._x0(lam_t)
+        cod_lam = enumerate_tabloids(lam)
+        for adjacent in (True, False):
+            for T in enumerate_tables(lam_t, lam):
+                R = rho_matrix(T)
+                for k in tabloids._boundary_indices(lam_t, adjacent):
+                    mu = lam_t.shifted(*k)
+                    assert enumerate_tabloids(mu).elements[0] == tabloids._x0(mu)
+                    P = boundary_table(lam_t, "phi", *k)
+                    got = odd(T, odd(P, [tabloids._x0(mu)]))
+                    assert got == column0(mat_mul(R, rho_matrix(P)), cod_lam), (T, k)
+                    checked += 1
+                for k in tabloids._boundary_indices(lam, adjacent):
+                    P = boundary_table(lam, "psi", *k)
+                    cod = enumerate_tabloids(lam.shifted(*k))
+                    got = odd(P, odd(T, [x0]))
+                    assert got == column0(mat_mul(rho_matrix(P), R), cod), (T, k)
+                    checked += 1
+    assert checked == 1446
 
 
 def test_tabloid_basis_size_invariant(monkeypatch):
@@ -280,26 +339,11 @@ def test_tabloid_basis_size_invariant(monkeypatch):
         tabloids.TabloidBasis(Composition((2, 1)))
 
 
-def test_byte_packing_matches_reference_packing(monkeypatch):
-    # the padded byte layout must give the kernel of the unpadded one
-    partitions = [Partition(p) for r in range(1, 7) for p in partitions_of(r)]
-    cases = [(lam, adjacent) for lam in partitions for adjacent in (True, False)]
-    got = {case: tabloids.hom_solution_space(*case)[:2] for case in cases}
-    monkeypatch.setattr(tabloids, "_pack_rows", pack_rows_reference)
-    for case in cases:
-        dim, kernel = tabloids.hom_solution_space(*case)
-        assert got[case][0] == dim, case
-        span = Echelon()
-        for x in kernel + got[case][1]:
-            span.insert(x)
-        assert span.rank == dim, case
-
-
 def test_pack_rows_puts_each_row_in_whole_bytes():
     rng = random.Random(0)
     shapes = [(2, 0), (3, 1), (2, 8), (4, 13), (3, 70)]
     mats = [Gf2Matrix([rng.getrandbits(n) for _ in range(k)], n) for k, n in shapes]
-    packed = tabloids._pack_rows(mats)
+    packed = pack_rows(mats)
     offset = 0
     for M in mats:
         width = 8 * ((M.ncols + 7) // 8)
