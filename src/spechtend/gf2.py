@@ -90,9 +90,6 @@ class Echelon:
             return True
         return False
 
-    def contains(self, row: int) -> bool:
-        return self.reduce(row) == 0
-
     @property
     def rank(self) -> int:
         return len(self.pivots)

@@ -180,6 +180,8 @@ def enumerate_tables(
     except RecursionError:
         raise CapExceeded(f"margins of widths {len(alpha)} and {len(beta)} exceed the "
                           "recursion limit") from None
+    finally:
+        del suffixes  # the closure refers to itself; free its memo without the GC
 
 
 def unit_exchange(A: Table, axis: str, i: int, j: int, k: int, l: int) -> Table:

@@ -5,11 +5,13 @@ compares exactly.  The suite is sized to finish well under a minute.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import itertools
+from typing import Dict, Iterator, List, Tuple
 
-from .gf2 import Echelon, mat_mul
 from .partitions import (
+    Composition,
     Partition,
+    Table,
     enumerate_tables,
     order_compare,
     staircase_families,
@@ -22,11 +24,7 @@ from .relations import (
     transpose_hom,
 )
 from .staircase import flat_relevance_system
-from .tabloids import (
-    boundary_map,
-    hom_solution_space,
-    rho_matrix,
-)
+from .tabloids import boundary_table, hom_solution_space, maps_agree
 
 
 def _partitions_of(r: int) -> List[Partition]:
@@ -50,7 +48,7 @@ def all_partitions(max_r: int) -> List[Partition]:
 
 
 def check_oracle_equivalence(max_r: int = 5) -> None:
-    """Relations-engine Rel dim == materialized Rel dim; 1 <= End <= Rel."""
+    """Relations-engine Rel dim == oracle Rel dim; 1 <= End <= Rel."""
     for lam in all_partitions(max_r):
         rel = solve_relevance(relevance_system(lam))
         mat_dim, _ = hom_solution_space(lam, adjacent=False)
@@ -65,44 +63,42 @@ def check_oracle_equivalence(max_r: int = 5) -> None:
             )
 
 
-def check_composition_closed_form(max_r: int = 5) -> None:
-    """rho[A] . phi-bar = sum of neighbouring rho's, and the psi mirror."""
+def _moved(A: Table, a: int, b: int, c: int, d: int) -> Table:
+    """A + E_ab - E_cd, at 0-based positions."""
+    T = [list(row) for row in A]
+    T[a][b] += 1
+    T[c][d] -= 1
+    return tuple(map(tuple, T))
+
+
+def closed_form_cases(max_r: int) -> Iterator[Tuple[str, List[Table], List[Table], Composition]]:
+    """The boundary closed forms as (failure message, chain, terms, mu) for
+    `maps_agree`, per A in Tab(lam', lam) and i < j: rho[A] . phi-bar^(i,j,1)
+    is the sum of rho[A + E_il - E_jl] over l with a_jl > 0 and a_il even, and
+    psi-bar^(i,j,1) . rho[A] the sum of rho[A + E_ki - E_kj] over k with
+    a_kj > 0 and a_ki even."""
     for lam in all_partitions(max_r):
         lam_t = transpose(lam)
         for A in enumerate_tables(lam_t, lam):
-            R = rho_matrix(A)
-            for i in range(1, lam_t.length + 1):
-                for j in range(i + 1, lam_t.length + 1):
-                    lhs = mat_mul(R, boundary_map(lam_t, "phi", i, j, 1))
-                    acc = [0] * lhs.nrows
-                    for l in range(1, len(A[0]) + 1):
-                        if A[j - 1][l - 1] == 0 or (A[i - 1][l - 1] + 1) % 2 == 0:
-                            continue
-                        T = [list(row) for row in A]
-                        T[i - 1][l - 1] += 1
-                        T[j - 1][l - 1] -= 1
-                        term = rho_matrix(tuple(map(tuple, T)))
-                        acc = [x ^ y for x, y in zip(acc, term.rows)]
-                    if list(lhs.rows) != acc:
-                        raise AssertionError(
-                            f"phi composition failed for {lam.parts}, A={A}, ({i},{j})"
-                        )
-            for i in range(1, lam.length + 1):
-                for j in range(i + 1, lam.length + 1):
-                    lhs = mat_mul(boundary_map(lam, "psi", i, j, 1), R)
-                    acc = [0] * lhs.nrows
-                    for k in range(1, len(A) + 1):
-                        if A[k - 1][j - 1] == 0 or (A[k - 1][i - 1] + 1) % 2 == 0:
-                            continue
-                        T = [list(row) for row in A]
-                        T[k - 1][i - 1] += 1
-                        T[k - 1][j - 1] -= 1
-                        term = rho_matrix(tuple(map(tuple, T)))
-                        acc = [x ^ y for x, y in zip(acc, term.rows)]
-                    if list(lhs.rows) != acc:
-                        raise AssertionError(
-                            f"psi composition failed for {lam.parts}, A={A}, ({i},{j})"
-                        )
+            for i, j in itertools.combinations(range(len(A)), 2):
+                terms = [_moved(A, i, l, j, l) for l in range(len(A[0]))
+                         if A[j][l] and A[i][l] % 2 == 0]
+                yield (f"phi composition failed for {lam.parts}, A={A}, ({i + 1},{j + 1})",
+                       [A, boundary_table(lam_t, "phi", i + 1, j + 1, 1)], terms,
+                       lam_t.shifted(i + 1, j + 1, 1))
+            for i, j in itertools.combinations(range(len(A[0])), 2):
+                terms = [_moved(A, k, i, k, j) for k in range(len(A))
+                         if A[k][j] and A[k][i] % 2 == 0]
+                yield (f"psi composition failed for {lam.parts}, A={A}, ({i + 1},{j + 1})",
+                       [boundary_table(lam, "psi", i + 1, j + 1, 1), A], terms, lam_t)
+
+
+def check_composition_closed_form(max_r: int = 5) -> None:
+    """rho[A] . phi-bar = sum of neighbouring rho's, and the psi mirror, each
+    checked at the generating tabloid."""
+    for message, chain, terms, mu in closed_form_cases(max_r):
+        if not maps_agree(chain, terms, mu):
+            raise AssertionError(message)
 
 
 def check_eta_duality(max_r: int = 5) -> None:
@@ -124,14 +120,13 @@ def check_eta_duality(max_r: int = 5) -> None:
 
 
 def check_z_redundancy(max_r: int = 8) -> None:
-    """Every flat Z row lies in the R/C row space and descends in both orders."""
+    """Every flat Z row lies in the R/C row space, that is, has even overlap
+    with every kernel vector, and descends in both orders."""
     for fam in staircase_families(max_r):
         if not fam.parity_ok:
             continue
         sys = flat_relevance_system(fam)
-        ech = Echelon()
-        for r in sys.row_ints():
-            ech.insert(r)
+        kernel = solve_relevance(sys).basis
         index = {T: c for c, T in enumerate(sys.tables)}
         for A in sys.tables:
             for j in range(1, fam.m + 1):
@@ -139,21 +134,14 @@ def check_z_redundancy(max_r: int = 8) -> None:
                     if A[j - 1][k - 1] == 0:
                         continue
                     zrow = build_Z_row(A, j, k)
-                    acc = 0
-                    for T in zrow:
-                        acc |= 1 << index[T]
-                    if not ech.contains(acc):
+                    acc = sum(1 << index[T] for T in zrow)
+                    if any((acc & v).bit_count() & 1 for v in kernel):
                         raise AssertionError(
                             f"Z row not in R/C row space for family "
                             f"({fam.a},{fam.m},{fam.b}), A={A}, ({j},{k})"
                         )
-                    for T in zrow:
-                        if T == A:
-                            continue
-                        if not (
-                            order_compare(T, A, "row") < 0
-                            and order_compare(T, A, "col") < 0
-                        ):
+                    for T in zrow - {A}:
+                        if order_compare(T, A, "row") >= 0 or order_compare(T, A, "col") >= 0:
                             raise AssertionError(
                                 f"Z target does not precede its generator: {T} vs {A}"
                             )

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import CapExceeded, InternalError, InvalidParameter, ParityError, VerificationError
-from .gf2 import Gf2Matrix
 from .limits import DEFAULT_MAX_BITS, DEFAULT_MAX_TABLES
 from .partitions import StaircaseFamily, TabMatrix, Table, enumerate_tables, transpose_table
 from .relations import RelationSystem, RelevanceResult, relation_system, solve_relevance
-from .tabloids import end_dimension_oracle, rho_matrix
+from .tabloids import end_dimension_oracle
 
 
 def pi_expand(B: Table, family: StaircaseFamily) -> List[Table]:
@@ -60,8 +59,9 @@ def omega_expand(B: Table, family: StaircaseFamily) -> List[Table]:
     return sorted(out)
 
 
-def _pi_table(family: StaircaseFamily) -> Table:
-    """The table whose rho is pi_alpha: the last b' rows of lam' go to row m."""
+def pi_table(family: StaircaseFamily) -> Table:
+    """The table whose rho is pi_alpha : M(lam') -> M(alpha), merging the last
+    b' blocks into block m."""
     m = family.m
     n = family.lam_t.length
     entries = [[0] * m for _ in range(n)]
@@ -72,17 +72,10 @@ def _pi_table(family: StaircaseFamily) -> Table:
     return tuple(map(tuple, entries))
 
 
-def pi_matrix(family: StaircaseFamily, max_bits: int = DEFAULT_MAX_BITS) -> Gf2Matrix:
-    """pi_alpha : M(lam') -> M(alpha), merging the last b' blocks into block m."""
-    return rho_matrix(_pi_table(family), max_bits)
-
-
-def iota_matrix(family: StaircaseFamily, max_bits: int = DEFAULT_MAX_BITS) -> Gf2Matrix:
-    """iota_beta : M(beta) -> M(lam), splitting block m into b singleton blocks.
-
-    Its table is the transposed pi table of the swapped family.
-    """
-    return rho_matrix(transpose_table(_pi_table(family.swapped())), max_bits)
+def iota_table(family: StaircaseFamily) -> Table:
+    """The table whose rho is iota_beta : M(beta) -> M(lam), splitting block m
+    into b singleton blocks: the transposed pi table of the swapped family."""
+    return transpose_table(pi_table(family.swapped()))
 
 
 def flat_relevance_system(

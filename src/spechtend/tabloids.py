@@ -4,9 +4,11 @@ A tabloid for a composition alpha of r is an ordered sequence of disjoint
 blocks partitioning {1..r}, block i of size alpha_i.  Each block is an int
 bitmask in which bit e-1 stands for element e, so a tabloid is a tuple of
 block bitmasks.  The basis is ordered lexicographically on the concatenated
-sorted blocks.  `_image` is how rho[A] acts on one tabloid.  Matrices use the
-column-vector convention (rows index the codomain basis); the oracle builds
-none, as it checks each condition at one generating tabloid.
+sorted blocks.  `_image` is how rho[A] acts on one tabloid.  Every map here
+is equivariant out of a cyclic module M(mu), so the oracle and `maps_agree`
+decide an identity between maps at one generating tabloid and build no
+matrix.  `rho_matrix` uses the column-vector convention (rows index the
+codomain basis).
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import itertools
 import math
 from collections import Counter
 from functools import lru_cache
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import CapExceeded, InternalError, InvalidParameter
 from .gf2 import Gf2Matrix, TaggedEchelon
@@ -100,6 +102,24 @@ def _apply(A: Table, xs: List[Tabloid]) -> List[Tabloid]:
     """rho[A] of the mod-2 sum of xs, as the tabloids with coefficient 1."""
     counts = Counter(y for x in xs for y in _image(A, x))
     return [y for y, n in counts.items() if n & 1]
+
+
+def maps_agree(chain: Sequence[Table], terms: Iterable[Table], mu: Composition) -> bool:
+    """Whether rho[chain[0]] . ... . rho[chain[-1]] = sum of rho[T] over terms,
+    as maps out of M(mu).  Both sides are equivariant and _x0(mu) generates
+    M(mu), so they agree iff they agree at _x0(mu)."""
+    x0, cod = _x0(mu), tuple(mu)
+    xs = [x0]
+    for A in reversed(chain):
+        if tuple(map(sum, A)) != cod:
+            raise InvalidParameter(f"table {A} does not act on M({cod})")
+        xs, cod = _apply(A, xs), tuple(map(sum, zip(*A)))
+    counts: Counter = Counter()
+    for T in terms:
+        if (tuple(map(sum, T)), tuple(map(sum, zip(*T)))) != (tuple(mu), cod):
+            raise InvalidParameter(f"term {T} is not a map M({tuple(mu)}) -> M({cod})")
+        counts.update(_image(T, x0))
+    return set(xs) == {y for y, n in counts.items() if n & 1}
 
 
 def rho_matrix(A: Table, max_bits: int = DEFAULT_MAX_BITS) -> Gf2Matrix:

@@ -447,6 +447,18 @@ def hom_solution_space_dense(lam, adjacent: bool, max_bits: int = DEFAULT_MAX_BI
     return len(kernel), kernel
 
 
+def maps_agree_dense(chain, terms) -> bool:
+    """`tabloids.maps_agree` by the dense comparison it replaced: the product
+    of the chain's rho matrices against the sum of the terms' rho matrices."""
+    lhs = rho_matrix(chain[0])
+    for A in chain[1:]:
+        lhs = mat_mul(lhs, rho_matrix(A))
+    rows = [0] * lhs.nrows
+    for T in terms:
+        rows = [x ^ y for x, y in zip(rows, rho_matrix(T).rows)]
+    return list(lhs.rows) == rows
+
+
 def solve_relevance_reference(sys):
     """The relevance solve by one `Echelon` over every row as a bit int."""
     ech = Echelon()

@@ -92,8 +92,8 @@ def test_echelon_contains():
     ech = Echelon()
     ech.insert(0b011)
     ech.insert(0b110)
-    assert ech.contains(0b101)  # the sum of the two rows
-    assert not ech.contains(0b001)
+    assert ech.reduce(0b101) == 0  # the sum of the two rows
+    assert ech.reduce(0b001) != 0
 
 
 def test_tagged_echelon_reports_dependency():

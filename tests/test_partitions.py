@@ -1,3 +1,4 @@
+import gc
 import itertools
 import tracemalloc
 
@@ -169,6 +170,24 @@ def test_enumerate_tables_cap_bounds_the_work():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_enumerate_tables_leaves_no_reference_cycle():
+    # the memo is freed by reference counting, after a full and a refused call
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_tables((3, 3, 3), (3, 3, 3))
+        assert gc.collect() == 0
+        try:
+            enumerate_tables((3, 3, 3), (3, 3, 3), max_tables=5)
+        except CapExceeded:
+            pass
+        else:
+            pytest.fail("the cap did not refuse")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 compositions = st.lists(st.integers(0, 4), min_size=1, max_size=4).map(Composition)

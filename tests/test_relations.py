@@ -235,7 +235,7 @@ def test_Z_rows_redundant_for_small_partitions():
                         bits = 0
                         for B in z:
                             bits |= 1 << index[B]
-                        assert ech.contains(bits), (parts, A, j, k)
+                        assert ech.reduce(bits) == 0, (parts, A, j, k)
 
 
 def test_transpose_hom_involution():
@@ -265,7 +265,7 @@ def test_transposed_solutions_solve_transposed_system():
         for v in res_t.basis:
             ech.insert(v)
         for v in res.basis:
-            assert ech.contains(transpose_hom(v, sys.tables, sys_t.tables))
+            assert ech.reduce(transpose_hom(v, sys.tables, sys_t.tables)) == 0
 
 
 def test_solve_relevance_matches_echelon_reference():

@@ -18,10 +18,10 @@ from spechtend.staircase import (
     classify_structure,
     flat_relevance_system,
     iota_expand,
-    iota_matrix,
+    iota_table,
     omega_expand,
     pi_expand,
-    pi_matrix,
+    pi_table,
     structural_lemma_audit,
     tau,
     theorem_matrix,
@@ -82,12 +82,12 @@ def test_expand_rejects_wrong_margins():
         iota_expand(((4, 0), (0, 2)), fam)
 
 
-def test_pi_iota_matrices_shapes():
+def test_pi_iota_table_margins():
+    # a table's row and column margins are the domain and codomain of its rho
     fam = staircase_family(3, 2, 3)
-    pi = pi_matrix(fam)
-    io = iota_matrix(fam)
-    assert (pi.nrows, pi.ncols) == (15, 30)  # M((4,1,1)) -> M((4,2))
-    assert (io.nrows, io.ncols) == (120, 20)  # M((3,3)) -> M((3,1,1,1))
+    pi, iota = pi_table(fam), iota_table(fam)
+    assert (tuple(map(sum, pi)), tuple(map(sum, zip(*pi)))) == ((4, 1, 1), (4, 2))
+    assert (tuple(map(sum, iota)), tuple(map(sum, zip(*iota)))) == ((3, 3), (3, 1, 1, 1))
 
 
 def test_flat_dimension_matches_full_system():

@@ -15,14 +15,17 @@ from spechtend.partitions import (
     transpose,
     transpose_table,
 )
+from spechtend.selftest import closed_form_cases
 from spechtend.tabloids import (
     boundary_map,
     boundary_table,
     end_dimension_oracle,
     enumerate_tabloids,
+    maps_agree,
     rho_matrix,
     tabloid_dim,
 )
+from spechtend.worked_examples import distribute_cases
 
 from oracles import (
     blocks,
@@ -33,6 +36,7 @@ from oracles import (
     gf2_to_dense,
     gf2_transpose,
     hom_solution_space_dense,
+    maps_agree_dense,
     multinomial,
     pack_rows,
     partitions_of,
@@ -331,6 +335,30 @@ def test_x0_images_match_dense_products():
                     assert got == column0(mat_mul(rho_matrix(P), R), cod), (T, k)
                     checked += 1
     assert checked == 1446
+
+
+def test_maps_agree_matches_dense_comparison():
+    # every closed form with r <= 5 and the three worked identities, with the
+    # true terms and with the first term dropped: the x0 test gives the dense
+    # comparison's answer, which is True and then False
+    cases = [c[1:] for c in closed_form_cases(5)] + [c[1:] for c in distribute_cases()]
+    dropped = 0
+    for chain, terms, mu in cases:
+        assert maps_agree(chain, terms, mu) is True
+        assert maps_agree_dense(chain, terms) is True
+        if terms:
+            assert maps_agree(chain, terms[1:], mu) is False, (chain, terms)
+            assert maps_agree_dense(chain, terms[1:]) is False, (chain, terms)
+            dropped += 1
+    assert (len(cases), dropped) == (215, 123)
+
+
+def test_maps_agree_rejects_mismatched_margins():
+    phi = boundary_table(Partition((2, 1)), "phi", 1, 2, 1)  # M((3,0)) -> M((2,1))
+    with pytest.raises(InvalidParameter):
+        maps_agree([phi], [], Composition((2, 1)))
+    with pytest.raises(InvalidParameter):
+        maps_agree([phi], [((2, 1),)], Composition((3, 0)))
 
 
 def test_tabloid_basis_size_invariant(monkeypatch):
