@@ -211,17 +211,25 @@ def cmd_dump_relations(args) -> int:
     return EXIT_OK
 
 
+def _no_user_parameters(run) -> dict:
+    """Run a check with no user parameters, whose refusals are bugs."""
+    try:
+        return run()
+    except (InvalidParameter, CapExceeded) as exc:
+        raise InternalError(f"{type(exc).__name__}: {exc}") from exc
+
+
 def cmd_paper_examples(args) -> int:
     from .worked_examples import run_all
 
-    _emit(run_all())
+    _emit(_no_user_parameters(run_all))
     return EXIT_OK
 
 
 def cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    _emit(run_selftest())
+    _emit(_no_user_parameters(run_selftest))
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ conventions used for serialized matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded, DegreeMismatch, InternalError, InvalidParameter
 
@@ -142,6 +142,52 @@ def _row_fillings(n: int, caps: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
             yield (v,) + tail
 
 
+class SuffixMemo:
+    """Rows i.. of the tables with row sums `rows` that fill a column room,
+    memoised by (i, room).  `head(i, row)` codes row i: `(row,)` for tables,
+    an int for integer codes, and a suffix is head + tail either way.  Each
+    list is checked against max_tables as it grows, so the cap bounds the
+    work; refusals name `margins`, those of the whole enumeration.
+    """
+
+    def __init__(self, rows: Sequence[int], head: Callable, max_tables: Optional[int],
+                 margins: Tuple[Tuple[int, ...], Tuple[int, ...]]):
+        self.rows, self.head, self.max_tables, self.margins = tuple(rows), head, max_tables, margins
+        self.memo: Dict[Tuple[int, Tuple[int, ...]], list] = {}
+
+    def check(self, count: int) -> None:
+        if self.max_tables is not None and count > self.max_tables:
+            raise CapExceeded(f"more than {self.max_tables} tables for %s/%s" % self.margins)
+
+    def suffixes(self, i: int, room: Tuple[int, ...]) -> list:
+        if i == len(self.rows) - 1:
+            # margins of equal sum always admit a nonnegative table, so the
+            # last row is forced to be what the columns still need
+            return [self.head(i, room)]
+        out = self.memo.get((i, room))
+        if out is None:
+            out = self.memo[i, room] = []
+            for row in _row_fillings(self.rows[i], room):
+                head, rest = self.head(i, row), tuple([c - v for c, v in zip(room, row)])
+                out += [head + tail for tail in self.suffixes(i + 1, rest)]
+                self.check(len(out))
+        return out
+
+    def split(self, room: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], Any, list]]:
+        """(row, head, suffixes of rows 1..) for each filling of row 0, with
+        at least two rows; all the tables count against the cap together."""
+        count = 0
+        try:
+            for row in _row_fillings(self.rows[0], room):
+                tails = self.suffixes(1, tuple([c - v for c, v in zip(room, row)]))
+                count += len(tails)
+                self.check(count)
+                yield row, self.head(0, row), tails
+        except RecursionError:
+            raise CapExceeded("margins of widths %d and %d exceed the recursion limit"
+                              % tuple(map(len, self.margins))) from None
+
+
 def enumerate_tables(
     alpha: Sequence[int], beta: Sequence[int], max_tables: Optional[int] = None
 ) -> List[Table]:
@@ -149,39 +195,19 @@ def enumerate_tables(
 
     Output is in ascending lexicographic order of the row-major entry
     sequence; this is the canonical column order for relation systems.
-    The cap bounds the work: each state's list of row suffixes is checked as
-    it grows, so more than max_tables tables raise CapExceeded after
-    O(max_tables) work.  So do margins too long for the recursion limit.
+    More than max_tables tables raise CapExceeded after O(max_tables) work;
+    so do margins too long for the recursion limit.
     """
     alpha, beta = tuple(alpha), tuple(beta)
     if sum(alpha) != sum(beta):
         raise DegreeMismatch(f"deg{alpha} != deg{beta}")
-    last = len(alpha) - 1
-    # (row index, column room) -> rows i.. of the tables that fill the room
-    memo: Dict[Tuple[int, Tuple[int, ...]], List[Table]] = {}
-
-    def suffixes(i: int, room: Tuple[int, ...]) -> List[Table]:
-        if i == last:
-            # margins of equal sum always admit a nonnegative table, so the
-            # last row is forced to be what the columns still need
-            return [(room,)]
-        out = memo.get((i, room))
-        if out is None:
-            out = memo[i, room] = []
-            for row in _row_fillings(alpha[i], room):
-                head, rest = (row,), tuple([c - v for c, v in zip(room, row)])
-                out += [head + tail for tail in suffixes(i + 1, rest)]
-                if max_tables is not None and len(out) > max_tables:
-                    raise CapExceeded(f"more than {max_tables} tables for {alpha}/{beta}")
-        return out
-
-    try:
-        return suffixes(0, beta) if alpha else [()]
-    except RecursionError:
-        raise CapExceeded(f"margins of widths {len(alpha)} and {len(beta)} exceed the "
-                          "recursion limit") from None
-    finally:
-        del suffixes  # the closure refers to itself; free its memo without the GC
+    if len(alpha) < 2:
+        return [(beta,)] if alpha else [()]
+    memo = SuffixMemo(alpha, lambda i, row: (row,), max_tables, (alpha, beta))
+    out: List[Table] = []
+    for _, head, tails in memo.split(beta):
+        out += [head + tail for tail in tails]
+    return out
 
 
 def unit_exchange(A: Table, axis: str, i: int, j: int, k: int, l: int) -> Table:

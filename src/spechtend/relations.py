@@ -2,16 +2,25 @@
 
 The unknowns are coefficients h[A], one per A in Tab(alpha, beta); a
 homomorphism sum(h[A] rho[A]) is annihilated by the boundary maps exactly
-when the R and C rows built here vanish.  Every function here takes and
-returns plain tables, tuples of row tuples: `RelationSystem.tables` holds
+when the R and C rows built here vanish.  Every public function here takes
+and returns plain tables, tuples of row tuples: `RelationSystem.tables` holds
 them, and a row of a RelationSystem is the sorted tuple of the column indices
 (positions in `tables`) whose coefficient is odd.  Only the support of a
 solution is handed out as TabMatrix records.
+
+Rows are built in integer codes: code(T) = sum T[r][c] w[r][c] with
+w[r][c] = (deg+1) ** (m*n - 1 - (r*n + c)) reads an m x n table's row-major
+entries as digits, so codes ascend in table order.  As b_il >= 1 and no entry
+exceeds deg, the exchange B - E_il + E_jl is code(B) + w[j][l] - w[i][l].  A
+block (i, j) is built row i first: per filling of row i, one suffix memo codes
+the other rows.  The C rows use the transposed weights, which code the
+transposed targets directly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from operator import mul
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidParameter
 from .gf2 import sparse_nullspace
@@ -19,6 +28,7 @@ from .limits import DEFAULT_MAX_TABLES
 from .partitions import (
     Composition,
     Partition,
+    SuffixMemo,
     TabMatrix,
     Table,
     enumerate_tables,
@@ -31,37 +41,61 @@ from .partitions import (
 BuiltRow = Tuple[Tuple[Table, ...], Table]
 
 
-def _exchange_rows(
-    alpha: Tuple[int, ...],
-    beta: Tuple[int, ...],
-    i: int,
-    j: int,
-    max_tables: Optional[int],
-) -> List[BuiltRow]:
-    """One row per B in Tab(alpha^(i,j,1), beta): {B - E_il + E_jl : b_il odd}.
+def _orientations(alpha: Composition, beta: Composition) -> tuple:
+    """The code's base and weights over Tab(alpha, beta), and (a, b, weights)
+    for the R rows, then for the C rows: the R rows of (beta, alpha) under
+    the transposed weights, which code the transposed targets directly."""
+    base, m, n = alpha.degree + 1, alpha.width, beta.width
+    w = [[base ** (m * n - 1 - (r * n + c)) for c in range(n)] for r in range(m)]
+    return base, w, ((alpha, beta, w), (beta, alpha, list(zip(*w))))
 
-    Rows with no odd entry are dropped; i < j are 1-based.
+
+def _coder(weights: Sequence[Sequence[int]]) -> Callable[[int, Tuple[int, ...]], int]:
+    """The SuffixMemo head that codes row i of a table with weights[i]."""
+    return lambda i, row: sum(map(mul, row, weights[i]))
+
+
+def _decode(code: int, weights: Sequence[Sequence[int]], base: int) -> Table:
+    """The table whose code under `weights` is `code`."""
+    return tuple(tuple(code // w % base for w in row) for row in weights)
+
+
+def _coded_rows(a: Composition, b: Composition, weights: Sequence[Sequence[int]],
+                i: int, j: int, max_tables: Optional[int]) -> Iterator[tuple]:
+    """The R(i,j) rows of (a, b) in codes, i < j 1-based: (head, tails, deltas)
+    per filling of row i in Tab(a^(i,j,1), b) with an odd entry.
+
+    A source B = head + t, t in tails, has the row {B + d : d in deltas}.
+    The deltas ascend, so a row's targets and columns do too.  Fillings with
+    no odd entry yield nothing, but their tables count against max_tables.
     """
-    if not (1 <= i < j <= len(alpha)):
-        raise InvalidParameter(f"bad (i,j)=({i},{j}) for width {len(alpha)}")
-    if alpha[j - 1] == 0:
-        return []
-    i, j = i - 1, j - 1
-    shifted = list(alpha)
-    shifted[i] += 1
-    shifted[j] -= 1
-    out: List[BuiltRow] = []
-    for B in enumerate_tables(shifted, beta, max_tables):
-        bi, bj = B[i], B[j]
-        targets = tuple(
-            B[:i] + (bi[:l] + (v - 1,) + bi[l + 1:],)
-            + B[i + 1:j] + (bj[:l] + (bj[l] + 1,) + bj[l + 1:],) + B[j + 1:]
-            for l, v in enumerate(bi)
-            if v & 1
-        )
-        if targets:
-            out.append((targets, B))
-    return out
+    if not (1 <= i < j <= len(a)):
+        raise InvalidParameter(f"bad (i,j)=({i},{j}) for width {len(a)}")
+    if a[j - 1] == 0:
+        return
+    shifted, i, j = tuple(a.shifted(i, j, 1)), i - 1, j - 1
+    order = [i] + [p for p in range(len(a)) if p != i]
+    memo = SuffixMemo([shifted[p] for p in order], _coder([weights[p] for p in order]),
+                      max_tables, (shifted, tuple(b)))
+    deltas = [wj - wi for wi, wj in zip(weights[i], weights[j])]
+    for row, head, tails in memo.split(tuple(b)):
+        odd = [d for d, v in zip(deltas, row) if v & 1]
+        if odd:
+            yield head, tails, odd
+
+
+def _decoded_rows(alpha: Composition, beta: Composition, transposed: bool, i: int, j: int,
+                  max_tables: Optional[int]) -> List[BuiltRow]:
+    """The R or, `transposed`, the C rows of block (i, j) as tables, by source."""
+    base, w, orientations = _orientations(alpha, beta)
+    a, b, weights = orientations[transposed]
+    coded = sorted(
+        (head + t, [head + t + d for d in odd])
+        for head, tails, odd in _coded_rows(a, b, weights, i, j, max_tables)
+        for t in tails
+    )
+    return [(tuple(_decode(c, w, base) for c in targets), _decode(source, w, base))
+            for source, targets in coded]
 
 
 def build_R_rows(
@@ -73,10 +107,11 @@ def build_R_rows(
 ) -> List[BuiltRow]:
     """Rows forcing h . phi-bar^(i,j,1) = 0, one per B in Tab(alpha^(i,j,1), beta).
 
-    The row for B is {B - E_il + E_jl : b_il odd}, returned with B; the same
-    set equals the per-(A,k) corollary relations without multiplicity.
+    The row for B is {B - E_il + E_jl : b_il odd}, returned with B, in
+    ascending order of B; the same set equals the per-(A,k) corollary
+    relations without multiplicity.
     """
-    return _exchange_rows(alpha.parts, beta.parts, i, j, max_tables)
+    return _decoded_rows(alpha, beta, False, i, j, max_tables)
 
 
 def build_C_rows(
@@ -91,12 +126,7 @@ def build_C_rows(
     The row for D is {D - E_ki + E_kj : d_ki odd}, returned with D, in
     ascending order of D: the R rows of (beta, alpha), transposed.
     """
-    rows = [
-        (tuple(map(transpose_table, targets)), transpose_table(B))
-        for targets, B in _exchange_rows(beta.parts, alpha.parts, i, j, max_tables)
-    ]
-    rows.sort(key=lambda row: row[1])
-    return rows
+    return _decoded_rows(alpha, beta, True, i, j, max_tables)
 
 
 @dataclass
@@ -119,20 +149,21 @@ def relation_system(
 ) -> RelationSystem:
     """All R and C rows over Tab(alpha, beta) for every admissible i < j.
 
-    The C rows are the R rows of (beta, alpha) with every table transposed,
-    so they are built that way and their tables are looked up by transposed
-    entries.  The rows are distinct and sorted.  max_tables also caps the
-    shifted enumerations behind every block.
+    The rows are distinct and sorted.  max_tables also caps the shifted
+    enumerations behind every block.
     """
     tables = enumerate_tables(alpha, beta, max_tables=max_tables)
-    col = {T: c for c, T in enumerate(tables)}
-    col_t = {transpose_table(T): c for T, c in col.items()}
+    _, w, orientations = _orientations(alpha, beta)
+    codes = SuffixMemo(alpha, _coder(w), None, (alpha, beta)).suffixes(0, beta) if alpha else [0]
+    col = {code: c for c, code in enumerate(codes)}  # codes ascend as the tables do
     rows: Set[Tuple[int, ...]] = set()
-    for a, b, lookup in ((alpha, beta, col), (beta, alpha, col_t)):
+    for a, b, weights in orientations:
         for i in range(1, a.width + 1):
             for j in range(i + 1, a.width + 1):
-                for targets, _ in build_R_rows(a, b, i, j, max_tables):
-                    rows.add(tuple(sorted([lookup[T] for T in targets])))
+                for head, tails, odd in _coded_rows(a, b, weights, i, j, max_tables):
+                    # one column list per odd entry; zip pairs them into rows
+                    rows.update(zip(*[[col[t + e] for t in tails] for e in
+                                      [head + d for d in odd]]))
     return RelationSystem(alpha, beta, tables, sorted(rows))
 
 

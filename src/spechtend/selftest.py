@@ -51,10 +51,10 @@ def check_oracle_equivalence(max_r: int = 5) -> None:
     """Relations-engine Rel dim == oracle Rel dim; 1 <= End <= Rel."""
     for lam in all_partitions(max_r):
         rel = solve_relevance(relevance_system(lam))
-        mat_dim, _ = hom_solution_space(lam, adjacent=False)
-        if rel.dim != mat_dim:
+        oracle_dim, _ = hom_solution_space(lam, adjacent=False)
+        if rel.dim != oracle_dim:
             raise AssertionError(
-                f"oracle equivalence failed for {lam.parts}: {rel.dim} != {mat_dim}"
+                f"oracle equivalence failed for {lam.parts}: {rel.dim} != {oracle_dim}"
             )
         end_dim, _ = hom_solution_space(lam, adjacent=True)
         if not (1 <= end_dim <= rel.dim):

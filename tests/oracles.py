@@ -14,6 +14,7 @@ from spechtend.partitions import (
     TabMatrix,
     enumerate_tables,
     transpose,
+    transpose_table,
     unit_exchange,
 )
 from spechtend.relations import RelevanceResult
@@ -209,8 +210,8 @@ def rho_matrix_reference(A):
     return gf2_from_columns(cols, len(cod))
 
 
-# The seed's relations engine, kept as the differential reference for the
-# tuple-table builder in spechtend.relations: tables are enumerated one at a
+# The seed's relations engine, kept as a differential reference for the
+# relation builders in spechtend.relations: tables are enumerated one at a
 # time by recursive placement, every move allocates a new table through
 # `add_units`, and rows are frozensets of tables.
 
@@ -326,6 +327,59 @@ def reference_relation_system(alpha, beta):
                 seen.setdefault(frozenset(index[A] for A in row), prov)
     rows = sorted(seen, key=lambda s: sorted(s))
     return tables, [sorted(r) for r in rows], [seen[r] for r in rows]
+
+
+# The tuple-table builder that the integer-coded one in spechtend.relations
+# replaced, kept as its differential reference: every shifted table is
+# enumerated as a tuple of rows and every target table is rebuilt from it.
+
+def exchange_rows_tuple(alpha, beta, i, j, max_tables=None):
+    """The tuple-table R(i,j) rows of (alpha, beta) that the integer-coded
+    builder replaced: (targets, B) for each B in Tab(alpha^(i,j,1), beta)
+    in ascending order, targets {B - E_il + E_jl : b_il odd} in l order."""
+    if not (1 <= i < j <= len(alpha)):
+        raise InvalidParameter(f"bad (i,j)=({i},{j}) for width {len(alpha)}")
+    if alpha[j - 1] == 0:
+        return []
+    i, j = i - 1, j - 1
+    out = []
+    for B in enumerate_tables(_shifted(alpha, i + 1, j + 1), beta, max_tables):
+        bi, bj = B[i], B[j]
+        targets = tuple(
+            B[:i] + (bi[:l] + (v - 1,) + bi[l + 1:],)
+            + B[i + 1:j] + (bj[:l] + (bj[l] + 1,) + bj[l + 1:],) + B[j + 1:]
+            for l, v in enumerate(bi)
+            if v & 1
+        )
+        if targets:
+            out.append((targets, B))
+    return out
+
+
+def exchange_C_rows_tuple(alpha, beta, i, j, max_tables=None):
+    """The tuple-table C(i,j) rows: the R rows of (beta, alpha), transposed,
+    in ascending order of the source table D."""
+    rows = [
+        (tuple(map(transpose_table, targets)), transpose_table(B))
+        for targets, B in exchange_rows_tuple(beta, alpha, i, j, max_tables)
+    ]
+    rows.sort(key=lambda row: row[1])
+    return rows
+
+
+def relation_system_tuple(alpha, beta, max_tables=None):
+    """(tables, rows) of the tuple-table relation_system the integer-coded
+    one replaced: C-row targets looked up by their transposed entries."""
+    tables = enumerate_tables(alpha, beta, max_tables=max_tables)
+    col = {T: c for c, T in enumerate(tables)}
+    col_t = {transpose_table(T): c for T, c in col.items()}
+    rows = set()
+    for a, b, lookup in ((alpha, beta, col), (beta, alpha, col_t)):
+        for i in range(1, len(a) + 1):
+            for j in range(i + 1, len(a) + 1):
+                for targets, _ in exchange_rows_tuple(a, b, i, j, max_tables):
+                    rows.add(tuple(sorted([lookup[T] for T in targets])))
+    return tables, sorted(rows)
 
 
 def corollary_R_rows(tables, i, j):

@@ -95,7 +95,7 @@ def test_criterion_05_oracle_equivalence_r6():
     check_oracle_equivalence(6)
     n = len(all_partitions(6))
     print(
-        f"\n[PASS] criterion 5: relations-engine and materialized Rel "
+        f"\n[PASS] criterion 5: relations-engine and oracle Rel "
         f"dimensions agree, with 1 <= End <= Rel, for all {n} partitions of r <= 6"
     )
 

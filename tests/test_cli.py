@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from spechtend import cli, gf2, partitions, relations, selftest, staircase, tabloids
-from spechtend.errors import CapExceeded
+from spechtend import (
+    cli, gf2, partitions, relations, selftest, staircase, tabloids, worked_examples,
+)
+from spechtend.errors import CapExceeded, InvalidParameter
 from spechtend.limits import DEFAULT_MAX_BITS
 
 from oracles import partitions_of
@@ -293,6 +295,26 @@ def test_selftest_reports_injected_failure(capsys, monkeypatch):
     code, _, err = run(capsys, ["selftest"])
     assert code == 1
     assert "injected failure" in err
+
+
+def test_a_refusal_inside_selftest_is_an_internal_error(capsys, monkeypatch):
+    # selftest and paper-examples take no user parameters, so a refused
+    # parameter or cap inside them is a bug, not a usage error
+    def refuse():
+        raise InvalidParameter("injected refusal")
+
+    monkeypatch.setattr(selftest, "run_selftest", refuse)
+    code, out, err = run(capsys, ["selftest"])
+    assert code == 3 and out == ""
+    assert "InternalError: InvalidParameter: injected refusal" in err
+
+    def over_cap():
+        raise CapExceeded("injected cap")
+
+    monkeypatch.setattr(worked_examples, "run_all", over_cap)
+    code, out, err = run(capsys, ["paper-examples"])
+    assert code == 3 and out == ""
+    assert "InternalError: CapExceeded: injected cap" in err
 
 
 def test_selftest_detects_corrupted_z_coefficient(capsys, monkeypatch):

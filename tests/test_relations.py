@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 from spechtend.errors import CapExceeded, InvalidParameter
 from spechtend.gf2 import Echelon
+from spechtend.limits import DEFAULT_MAX_TABLES
 from spechtend.partitions import (
     Composition,
     Partition,
@@ -29,7 +32,10 @@ from spechtend.tabloids import hom_solution_space
 from oracles import (
     corollary_C_rows,
     corollary_R_rows,
+    exchange_C_rows_tuple,
+    exchange_rows_tuple,
     partitions_of,
+    relation_system_tuple,
     reference_relation_system,
     solve_relevance_reference,
     z_coefficient_complement,
@@ -126,6 +132,78 @@ def test_row_builders_honour_the_table_cap():
     with pytest.raises(CapExceeded):
         relation_system(alpha, beta, max_tables=17)
     assert len(relation_system(alpha, beta, max_tables=18).tables) == 17
+
+
+def test_relation_system_matches_tuple_builder():
+    # the integer-coded build against the tuple-table one it replaced:
+    # every staircase family with r <= 13 and every relevance system r <= 8
+    cases = [(fam.alpha, fam.beta) for fam in staircase_families(13)]
+    cases += [(Composition(transpose(Partition(parts)).parts), Composition(parts))
+              for r in range(1, 9) for parts in partitions_of(r)]
+    assert len(cases) == 178
+    for alpha, beta in cases:
+        sys = relation_system(alpha, beta)
+        assert (sys.tables, sys.rows) == relation_system_tuple(alpha, beta), (alpha, beta)
+
+
+def test_row_builders_match_tuple_builder():
+    # sources, targets and their order, on margins with zero parts too
+    def comps(r):
+        return [c for k in (1, 2, 3) for c in itertools.product(range(r + 1), repeat=k)
+                if sum(c) == r]
+
+    for r in range(6):
+        for a, b in itertools.product(comps(r), repeat=2):
+            alpha, beta = Composition(a), Composition(b)
+            for i, j in itertools.combinations(range(1, len(a) + 1), 2):
+                assert build_R_rows(alpha, beta, i, j) == exchange_rows_tuple(a, b, i, j)
+            for i, j in itertools.combinations(range(1, len(b) + 1), 2):
+                assert build_C_rows(alpha, beta, i, j) == exchange_C_rows_tuple(a, b, i, j)
+            sys = relation_system(alpha, beta)
+            assert (sys.tables, sys.rows) == relation_system_tuple(alpha, beta), (a, b)
+
+
+def assert_same_refusal(alpha, beta, max_tables):
+    """relation_system and the tuple builder refuse with the same message."""
+    with pytest.raises(CapExceeded) as got:
+        relation_system(alpha, beta, max_tables)
+    with pytest.raises(CapExceeded) as want:
+        relation_system_tuple(alpha, beta, max_tables)
+    assert str(got.value) == str(want.value)
+
+
+def test_R_rows_honour_the_table_cap():
+    # family (6,3,1): Tab(alpha, beta) has 17 tables, but the shifted
+    # enumeration behind the R(2,3) rows has 18
+    alpha, beta = Composition((3, 2, 4)), Composition((6, 2, 1))
+    assert len(enumerate_tables(alpha, beta, max_tables=17)) == 17
+    with pytest.raises(CapExceeded):
+        build_R_rows(alpha, beta, 2, 3, max_tables=17)
+    assert_same_refusal(alpha, beta, 17)
+    assert len(relation_system(alpha, beta, max_tables=18).tables) == 17
+
+
+def test_cap_counts_shifted_tables_without_odd_entries():
+    # Tab((1,3), (2,2)) has 2 tables; R(1,2) enumerates the 3 tables of
+    # Tab((2,2), (2,2)), and the last, ((2,0),(0,2)), has no odd entry in
+    # row 1 and builds no row, yet it takes the count past a cap of 2
+    alpha, beta = Composition((1, 3)), Composition((2, 2))
+    assert len(build_R_rows(alpha, beta, 1, 2)) == 1
+    with pytest.raises(CapExceeded):
+        build_R_rows(alpha, beta, 1, 2, max_tables=2)
+    with pytest.raises(CapExceeded):
+        build_C_rows(beta, alpha, 1, 2, max_tables=2)
+    for a, b in ((alpha, beta), (beta, alpha)):
+        assert_same_refusal(a, b, 2)
+        assert len(relation_system(a, b, max_tables=3).tables) == 2
+
+
+def test_shifted_margins_too_deep_are_a_cap():
+    # Tab((n,), (1,)*n) is one table, but the C rows enumerate n-row tables
+    n = 1100
+    alpha, beta = Composition((n,)), Composition((1,) * n)
+    assert len(enumerate_tables(alpha, beta)) == 1
+    assert_same_refusal(alpha, beta, DEFAULT_MAX_TABLES)
 
 
 def test_relation_system_rows_deduplicated():
