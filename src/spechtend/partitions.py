@@ -201,9 +201,10 @@ def enumerate_tables(
     alpha, beta = tuple(alpha), tuple(beta)
     if sum(alpha) != sum(beta):
         raise DegreeMismatch(f"deg{alpha} != deg{beta}")
-    if len(alpha) < 2:
-        return [(beta,)] if alpha else [()]
     memo = SuffixMemo(alpha, lambda i, row: (row,), max_tables, (alpha, beta))
+    if len(alpha) < 2:
+        memo.check(1)
+        return [(beta,)] if alpha else [()]
     out: List[Table] = []
     for _, head, tails in memo.split(beta):
         out += [head + tail for tail in tails]

@@ -14,11 +14,13 @@ entries as digits, so codes ascend in table order.  As b_il >= 1 and no entry
 exceeds deg, the exchange B - E_il + E_jl is code(B) + w[j][l] - w[i][l].  A
 block (i, j) is built row i first: per filling of row i, one suffix memo codes
 the other rows.  The C rows use the transposed weights, which code the
-transposed targets directly.
+transposed targets directly.  `relation_provenance` re-walks the same coded
+blocks as `relation_system` and decodes only each row's first source.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from operator import mul
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -42,22 +44,21 @@ BuiltRow = Tuple[Tuple[Table, ...], Table]
 
 
 def _orientations(alpha: Composition, beta: Composition) -> tuple:
-    """The code's base and weights over Tab(alpha, beta), and (a, b, weights)
+    """The code's weights over Tab(alpha, beta), its decoder, and (a, b, weights)
     for the R rows, then for the C rows: the R rows of (beta, alpha) under
     the transposed weights, which code the transposed targets directly."""
     base, m, n = alpha.degree + 1, alpha.width, beta.width
     w = [[base ** (m * n - 1 - (r * n + c)) for c in range(n)] for r in range(m)]
-    return base, w, ((alpha, beta, w), (beta, alpha, list(zip(*w))))
+
+    def decode(code: int) -> Table:
+        return tuple(tuple(code // x % base for x in row) for row in w)
+
+    return w, decode, ((alpha, beta, w), (beta, alpha, list(zip(*w))))
 
 
 def _coder(weights: Sequence[Sequence[int]]) -> Callable[[int, Tuple[int, ...]], int]:
     """The SuffixMemo head that codes row i of a table with weights[i]."""
     return lambda i, row: sum(map(mul, row, weights[i]))
-
-
-def _decode(code: int, weights: Sequence[Sequence[int]], base: int) -> Table:
-    """The table whose code under `weights` is `code`."""
-    return tuple(tuple(code // w % base for w in row) for row in weights)
 
 
 def _coded_rows(a: Composition, b: Composition, weights: Sequence[Sequence[int]],
@@ -84,18 +85,19 @@ def _coded_rows(a: Composition, b: Composition, weights: Sequence[Sequence[int]]
             yield head, tails, odd
 
 
+def _by_source(block: Iterator[tuple], target: Callable) -> list:
+    """A block's coded rows as (source, its targets mapped by `target`), by source."""
+    return sorted((head + t, tuple([target(head + t + d) for d in odd]))
+                  for head, tails, odd in block for t in tails)
+
+
 def _decoded_rows(alpha: Composition, beta: Composition, transposed: bool, i: int, j: int,
                   max_tables: Optional[int]) -> List[BuiltRow]:
     """The R or, `transposed`, the C rows of block (i, j) as tables, by source."""
-    base, w, orientations = _orientations(alpha, beta)
+    _, decode, orientations = _orientations(alpha, beta)
     a, b, weights = orientations[transposed]
-    coded = sorted(
-        (head + t, [head + t + d for d in odd])
-        for head, tails, odd in _coded_rows(a, b, weights, i, j, max_tables)
-        for t in tails
-    )
-    return [(tuple(_decode(c, w, base) for c in targets), _decode(source, w, base))
-            for source, targets in coded]
+    rows = _by_source(_coded_rows(a, b, weights, i, j, max_tables), decode)
+    return [(targets, decode(source)) for source, targets in rows]
 
 
 def build_R_rows(
@@ -136,10 +138,17 @@ class RelationSystem:
     tables: List[Table]
     rows: List[Tuple[int, ...]]
 
-    def row_ints(self) -> Iterator[int]:
-        """Each row as a bit int, made on demand: at 10^5 rows over 10^4
-        columns the ints together take far more memory than the tuples."""
-        return (sum(1 << c for c in row) for row in self.rows)
+
+def _coded_blocks(alpha: Composition, beta: Composition, max_tables: Optional[int]) -> tuple:
+    """The {code: column} map of Tab(alpha, beta), the decoder of its codes,
+    and its blocks R(i,j) then C(i,j), (i, j) ascending, as (label, the
+    block's _coded_rows); every target is coded as a table of Tab(alpha, beta)."""
+    w, decode, orientations = _orientations(alpha, beta)
+    codes = SuffixMemo(alpha, _coder(w), None, (alpha, beta)).suffixes(0, beta) if alpha else [0]
+    blocks = ((f"{name}({i},{j}) {source}=", _coded_rows(a, b, weights, i, j, max_tables))
+              for name, source, (a, b, weights) in zip("RC", "BD", orientations)
+              for i, j in combinations(range(1, a.width + 1), 2))
+    return {code: c for c, code in enumerate(codes)}, decode, blocks  # codes ascend as tables do
 
 
 def relation_system(
@@ -153,17 +162,13 @@ def relation_system(
     enumerations behind every block.
     """
     tables = enumerate_tables(alpha, beta, max_tables=max_tables)
-    _, w, orientations = _orientations(alpha, beta)
-    codes = SuffixMemo(alpha, _coder(w), None, (alpha, beta)).suffixes(0, beta) if alpha else [0]
-    col = {code: c for c, code in enumerate(codes)}  # codes ascend as the tables do
+    col, _, blocks = _coded_blocks(alpha, beta, max_tables)
     rows: Set[Tuple[int, ...]] = set()
-    for a, b, weights in orientations:
-        for i in range(1, a.width + 1):
-            for j in range(i + 1, a.width + 1):
-                for head, tails, odd in _coded_rows(a, b, weights, i, j, max_tables):
-                    # one column list per odd entry; zip pairs them into rows
-                    rows.update(zip(*[[col[t + e] for t in tails] for e in
-                                      [head + d for d in odd]]))
+    for _, block in blocks:
+        for head, tails, odd in block:
+            # one column list per odd entry; zip pairs them into rows
+            rows.update(zip(*[[col[t + e] for t in tails] for e in
+                              [head + d for d in odd]]))
     return RelationSystem(alpha, beta, tables, sorted(rows))
 
 
@@ -171,21 +176,16 @@ def relation_provenance(sys: RelationSystem) -> List[str]:
     """The block and source table that first built each row of sys.
 
     Blocks come R before C, (i, j) ascending and, within a block, the source
-    table ascending; each row keeps the label of its first occurrence.  The
-    enumerations repeated here already passed max_tables when sys was built.
+    table ascending; each row keeps the label of its first occurrence, and
+    only that source is decoded.  The enumerations repeated here already
+    passed max_tables when sys was built.
     """
-    col = {T: c for c, T in enumerate(sys.tables)}
+    col, decode, blocks = _coded_blocks(sys.alpha, sys.beta, None)
     first: Dict[Tuple[int, ...], str] = {}
-    for block, width, build, name in (
-        ("R", sys.alpha.width, build_R_rows, "B"),
-        ("C", sys.beta.width, build_C_rows, "D"),
-    ):
-        for i in range(1, width + 1):
-            for j in range(i + 1, width + 1):
-                for targets, S in build(sys.alpha, sys.beta, i, j):
-                    key = tuple(sorted([col[T] for T in targets]))
-                    if key not in first:
-                        first[key] = f"{block}({i},{j}) {name}={[list(r) for r in S]}"
+    for label, block in blocks:
+        for source, row in _by_source(block, col.__getitem__):
+            if row not in first:
+                first[row] = label + str([list(r) for r in decode(source)])
     return [first[row] for row in sys.rows]
 
 

@@ -112,11 +112,8 @@ def check_eta_duality(max_r: int = 5) -> None:
             raise AssertionError(f"duality dim mismatch for {lam.parts}")
         for v in ra.basis:
             w = transpose_hom(v, sys_a.tables, sys_b.tables)
-            for r in sys_b.row_ints():
-                if (r & w).bit_count() & 1:
-                    raise AssertionError(
-                        f"transposed solution violates a relation for {lam.parts}"
-                    )
+            if any(sum(w >> c & 1 for c in row) & 1 for row in sys_b.rows):
+                raise AssertionError(f"transposed solution violates a relation for {lam.parts}")
 
 
 def check_z_redundancy(max_r: int = 8) -> None:

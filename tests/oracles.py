@@ -513,10 +513,17 @@ def maps_agree_dense(chain, terms) -> bool:
     return list(lhs.rows) == rows
 
 
+def row_ints(sys):
+    """Each row of a relation system as a bit int, made on demand: at 10^5
+    rows over 10^4 columns the ints together take far more memory than the
+    tuples."""
+    return (sum(1 << c for c in row) for row in sys.rows)
+
+
 def solve_relevance_reference(sys):
     """The relevance solve by one `Echelon` over every row as a bit int."""
     ech = Echelon()
-    for r in sys.row_ints():
+    for r in row_ints(sys):
         ech.insert(r)
     n = len(sys.tables)
     basis = ech.nullspace(n)

@@ -36,6 +36,15 @@ def test_tables_json(capsys):
     assert {"alpha": [4, 2], "beta": [3, 3], "entries": [[2, 2], [1, 1]]} in recs
 
 
+def test_tables_cap_holds_for_one_row_margins(capsys):
+    for alpha, beta in (("3", "2,1"), ("2,1", "3")):
+        argv = ["tables", "--alpha", alpha, "--beta", beta, "--max-tables", "0"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert "more than 0 tables" in err, argv
+        assert run(capsys, argv[:-1] + ["1"])[0] == 0
+
+
 def test_tables_wider_than_the_recursion_limit_is_a_cap(capsys):
     with pytest.raises(CapExceeded):
         partitions.enumerate_tables((1,) * 2000, (2000,))

@@ -145,6 +145,13 @@ def test_enumerate_tables_degree_mismatch():
 def test_enumerate_tables_cap():
     with pytest.raises(CapExceeded):
         enumerate_tables(Composition((2, 2, 2)), Composition((2, 2, 2)), max_tables=2)
+    # a single table, whichever margin has one row (or none); a cap of 0
+    # refuses it with the text of every other refusal
+    for alpha, beta in (((3,), (2, 1)), ((2, 1), (3,)), ((), ())):
+        assert len(enumerate_tables(alpha, beta, max_tables=1)) == 1
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_tables(alpha, beta, max_tables=0)
+        assert str(exc.value) == f"more than 0 tables for {alpha}/{beta}"
 
 
 def _compositions(r, nparts):

@@ -37,6 +37,7 @@ from oracles import (
     partitions_of,
     relation_system_tuple,
     reference_relation_system,
+    row_ints,
     solve_relevance_reference,
     z_coefficient_complement,
 )
@@ -106,8 +107,9 @@ def test_C_rows_are_transposed_R_rows():
 
 
 def test_relation_system_matches_reference_builder():
-    # the tuple-table engine reproduces the seed's builder exactly: table
-    # order, rows and first-occurrence provenance, hence dump-relations too
+    # the integer-coded engine reproduces the seed's builder exactly: table
+    # order, rows and the first-occurrence provenance that the coded block
+    # walk labels, hence dump-relations too
     cases = []
     for r in range(1, 8):
         for parts in partitions_of(r):
@@ -301,7 +303,7 @@ def test_Z_rows_redundant_for_small_partitions():
             lam = Partition(parts)
             sys = relevance_system(lam)
             ech = Echelon()
-            for row in sys.row_ints():
+            for row in row_ints(sys):
                 ech.insert(row)
             index = {T: c for c, T in enumerate(sys.tables)}
             for A in sys.tables:

@@ -28,7 +28,7 @@ from spechtend.staircase import (
     verify_parity_theorem,
 )
 
-from oracles import distribute_rows_reference, multinomial, omega_lift
+from oracles import distribute_rows_reference, multinomial, omega_lift, row_ints
 
 
 def test_tau_reverses_rows():
@@ -100,18 +100,60 @@ def test_flat_dimension_matches_full_system():
             assert flat == 1, (fam.a, fam.m, fam.b)
 
 
+# Rel of every non-parity staircase family with r <= 14, from the flat system
+NON_PARITY_REL_R14 = {
+    # r = 3
+    (2, 2, 1): 1,
+    # r = 5
+    (2, 2, 3): 1, (3, 2, 2): 2, (4, 2, 1): 1,
+    # r = 6
+    (3, 3, 1): 1,
+    # r = 7
+    (2, 2, 5): 1, (3, 2, 4): 2, (4, 2, 3): 2, (5, 2, 2): 2, (6, 2, 1): 1,
+    # r = 8
+    (3, 3, 3): 1, (4, 3, 2): 2, (5, 3, 1): 1,
+    # r = 9
+    (2, 2, 7): 1, (3, 2, 6): 2, (4, 2, 5): 2, (5, 2, 4): 3, (6, 2, 3): 2, (7, 2, 2): 2,
+    (8, 2, 1): 1,
+    # r = 10
+    (3, 3, 5): 1, (4, 3, 4): 2, (4, 4, 1): 1, (5, 3, 3): 2, (6, 3, 2): 2, (7, 3, 1): 1,
+    # r = 11
+    (2, 2, 9): 1, (3, 2, 8): 2, (4, 2, 7): 2, (5, 2, 6): 3, (6, 2, 5): 3, (7, 2, 4): 3,
+    (8, 2, 3): 2, (9, 2, 2): 2, (10, 2, 1): 1,
+    # r = 12
+    (3, 3, 7): 1, (4, 3, 6): 2, (4, 4, 3): 1, (5, 3, 5): 2, (5, 4, 2): 2, (6, 3, 4): 3,
+    (6, 4, 1): 1, (7, 3, 3): 2, (8, 3, 2): 2, (9, 3, 1): 1,
+    # r = 13
+    (2, 2, 11): 1, (3, 2, 10): 2, (4, 2, 9): 2, (5, 2, 8): 3, (6, 2, 7): 3, (7, 2, 6): 4,
+    (8, 2, 5): 3, (9, 2, 4): 3, (10, 2, 3): 2, (11, 2, 2): 2, (12, 2, 1): 1,
+    # r = 14
+    (3, 3, 9): 1, (4, 3, 8): 2, (4, 4, 5): 1, (5, 3, 7): 2, (5, 4, 4): 2, (6, 3, 6): 3,
+    (6, 4, 3): 2, (7, 3, 5): 3, (7, 4, 2): 2, (8, 3, 4): 3, (8, 4, 1): 1, (9, 3, 3): 2,
+    (10, 3, 2): 2, (11, 3, 1): 1,
+}
+
+
+def test_rel_pinned_for_non_parity_families_r14():
+    got = {(f.a, f.m, f.b): solve_relevance(flat_relevance_system(f)).dim
+           for f in staircase_families(14) if not f.parity_ok}
+    assert got == NON_PARITY_REL_R14
+    tally = [sum(1 for v in got.values() if v == d) for d in (1, 2, 3, 4)]
+    assert tally == [25, 32, 12, 1]
+    assert [k for k, v in got.items() if v == 4] == [(7, 2, 6)]
+
+
 def test_omega_lift_solves_full_system():
     for fam in [staircase_family(2, 2, 1), staircase_family(3, 2, 3)]:
         flat_sys = flat_relevance_system(fam)
         flat = solve_relevance(flat_sys)
         full_sys = relevance_system(fam.lam)
         ech = Echelon()
-        for row in full_sys.row_ints():
+        for row in row_ints(full_sys):
             ech.insert(row)
         for v in flat.basis:
             lifted = omega_lift(v, flat_sys, fam, full_sys.tables)
             assert lifted != 0
-            for row in full_sys.row_ints():
+            for row in row_ints(full_sys):
                 assert (lifted & row).bit_count() % 2 == 0
 
 
