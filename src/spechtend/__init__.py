@@ -18,16 +18,8 @@ from .partitions import (  # noqa: F401
     transpose,
     unit_exchange,
 )
-from .gf2 import Gf2Matrix, mat_mul  # noqa: F401
-from .tabloids import (  # noqa: F401
-    boundary_map,
-    end_dimension_oracle,
-    enumerate_tabloids,
-    rho_matrix,
-)
+from .tabloids import end_dimension_oracle  # noqa: F401
 from .relations import (  # noqa: F401
-    build_C_rows,
-    build_R_rows,
     build_Z_row,
     relevance_system,
     solve_relevance,

@@ -233,12 +233,23 @@ def cmd_selftest(args) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    """A non-negative integer flag value; argparse names the flag on a refusal."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
 def _add_max_tables(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-tables", type=int, default=DEFAULT_MAX_TABLES)
+    p.add_argument("--max-tables", type=_count, default=DEFAULT_MAX_TABLES)
 
 
 def _add_max_bits(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS)
+    p.add_argument("--max-bits", type=_count, default=DEFAULT_MAX_BITS)
 
 
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
@@ -283,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("scan", help="scan staircase families")
-    p.add_argument("--max-r", type=int, required=True)
+    p.add_argument("--max-r", type=_count, required=True)
     p.add_argument("--parity", choices=["match", "mismatch", "all"], default="match")
     p.add_argument("--cache", default=None)
     p.add_argument("--force", action="store_true")

@@ -131,10 +131,6 @@ class TaggedEchelon:
             tag ^= hit[1]
         return tag
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
 
 @dataclass(frozen=True)
 class SparseKernel:

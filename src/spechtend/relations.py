@@ -207,9 +207,9 @@ class RelevanceResult:
     dim: int
     basis: List[int]
     support: Set[TabMatrix]
-    rank: Optional[int] = None
-    residual_rows: Optional[int] = None
-    residual_cols: Optional[int] = None
+    rank: int
+    residual_rows: int
+    residual_cols: int
 
 
 def solve_relevance(sys: RelationSystem) -> RelevanceResult:

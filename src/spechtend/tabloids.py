@@ -3,12 +3,12 @@
 A tabloid for a composition alpha of r is an ordered sequence of disjoint
 blocks partitioning {1..r}, block i of size alpha_i.  Each block is an int
 bitmask in which bit e-1 stands for element e, so a tabloid is a tuple of
-block bitmasks.  The basis is ordered lexicographically on the concatenated
-sorted blocks.  `_image` is how rho[A] acts on one tabloid.  Every map here
-is equivariant out of a cyclic module M(mu), so the oracle and `maps_agree`
-decide an identity between maps at one generating tabloid and build no
-matrix.  `rho_matrix` uses the column-vector convention (rows index the
-codomain basis).
+block bitmasks.  `_splits` of {1..r} into alpha lists the basis of M(alpha),
+ordered lexicographically on the concatenated sorted blocks.  `_image` is
+how rho[A] acts on one tabloid.  Every map here is equivariant out of a
+cyclic module M(mu), so the oracle and `maps_agree` decide an identity
+between maps at one generating tabloid and build no matrix.  `rho_matrix`
+uses the column-vector convention (rows index the codomain basis).
 """
 from __future__ import annotations
 
@@ -34,25 +34,6 @@ def tabloid_dim(alpha: Composition) -> int:
     return n
 
 
-class TabloidBasis:
-    """The canonically ordered tabloid basis of M(alpha)."""
-
-    def __init__(self, alpha: Composition):
-        self.alpha = alpha
-        self.r = alpha.degree
-        self.elements: Tuple[Tabloid, ...] = _splits((1 << self.r) - 1, alpha.parts)
-        self.index: Dict[Tabloid, int] = {x: i for i, x in enumerate(self.elements)}
-        if len(self.elements) != tabloid_dim(alpha):
-            raise InternalError(
-                f"{len(self.elements)} tabloids for {alpha.parts}, "
-                f"expected {tabloid_dim(alpha)}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return len(self.elements)
-
-
 @lru_cache(maxsize=200_000)
 def _splits(block: int, sizes: Tuple[int, ...]) -> Tuple[Tabloid, ...]:
     """Ordered splits of a block bitmask into pieces of the given sizes.
@@ -69,17 +50,6 @@ def _splits(block: int, sizes: Tuple[int, ...]) -> Tuple[Tabloid, ...]:
         for tail in _splits(block ^ head, sizes[1:]):
             out.append((head,) + tail)
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _basis_cached(parts: Tuple[int, ...]) -> TabloidBasis:
-    return TabloidBasis(Composition(parts))
-
-
-def enumerate_tabloids(alpha: Composition, max_bits: int = DEFAULT_MAX_BITS) -> TabloidBasis:
-    if tabloid_dim(alpha) > max_bits:
-        raise CapExceeded(f"tabloid basis of {alpha.parts} exceeds cap")
-    return _basis_cached(alpha.parts)
 
 
 def _x0(mu: Composition) -> Tabloid:
@@ -124,18 +94,21 @@ def maps_agree(chain: Sequence[Table], terms: Iterable[Table], mu: Composition) 
 
 def rho_matrix(A: Table, max_bits: int = DEFAULT_MAX_BITS) -> Gf2Matrix:
     """Matrix of rho[A] : M(alpha) -> M(beta) in canonical tabloid bases;
-    column x holds `_image(A, x)`."""
+    column x holds `_image(A, x)`.  The cap is checked before any listing."""
     alpha, beta = Composition(map(sum, A)), Composition(map(sum, zip(*A)))
-    dom = enumerate_tabloids(alpha, max_bits)
-    cod = enumerate_tabloids(beta, max_bits)
-    if dom.dim * cod.dim > max_bits:
-        raise CapExceeded(f"rho matrix {cod.dim}x{dom.dim} exceeds the bit budget")
-    cod_rank = cod.index
-    rows = [0] * cod.dim
-    for v, x in enumerate(dom.elements):
+    d_alpha, d_beta = tabloid_dim(alpha), tabloid_dim(beta)
+    if d_alpha * d_beta > max_bits:
+        raise CapExceeded(f"rho matrix {d_beta}x{d_alpha} exceeds the bit budget")
+    dom = _splits((1 << alpha.degree) - 1, alpha.parts)
+    cod = _splits((1 << beta.degree) - 1, beta.parts)
+    if (len(dom), len(cod)) != (d_alpha, d_beta):
+        raise InternalError(f"tabloid counts for {A} are not {d_alpha} and {d_beta}")
+    cod_rank = {y: u for u, y in enumerate(cod)}
+    rows = [0] * d_beta
+    for v, x in enumerate(dom):
         for y in _image(A, x):
             rows[cod_rank[y]] ^= 1 << v
-    return Gf2Matrix(rows, dom.dim)
+    return Gf2Matrix(rows, d_alpha)
 
 
 def boundary_table(lam: Partition, kind: str, i: int, j: int, s: int) -> Table:

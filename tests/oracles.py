@@ -21,8 +21,8 @@ from spechtend.relations import RelevanceResult
 from spechtend.staircase import omega_expand
 from spechtend.tabloids import (
     _boundary_indices,
+    _splits,
     boundary_map,
-    enumerate_tabloids,
     rho_matrix,
     tabloid_dim,
 )
@@ -117,6 +117,12 @@ def blocks(x):
 def masks(x):
     """A tabloid of element tuples as a tuple of block bitmasks."""
     return tuple(sum(1 << (e - 1) for e in block) for block in x)
+
+
+def tabloid_basis(alpha):
+    """The canonically ordered tabloid basis of M(alpha), in the order that
+    `rho_matrix` indexes its rows and columns by."""
+    return _splits((1 << alpha.degree) - 1, alpha.parts)
 
 
 def rho_column_reference(
@@ -521,7 +527,8 @@ def row_ints(sys):
 
 
 def solve_relevance_reference(sys):
-    """The relevance solve by one `Echelon` over every row as a bit int."""
+    """The relevance solve by one `Echelon` over every row as a bit int; with
+    no sparse passes, every row and column is left to the echelon."""
     ech = Echelon()
     for r in row_ints(sys):
         ech.insert(r)
@@ -532,7 +539,7 @@ def solve_relevance_reference(sys):
         for c in range(n):
             if (v >> c) & 1:
                 support.add(TabMatrix(sys.tables[c]))
-    return RelevanceResult(len(basis), basis, support, ech.rank)
+    return RelevanceResult(len(basis), basis, support, ech.rank, len(sys.rows), n)
 
 
 # Gf2Matrix helpers the package itself does not need: dense round trips,
@@ -592,9 +599,11 @@ def sym_action(g, x):
 
 
 def perm_matrix(g, basis):
-    """Permutation matrix of g on M(alpha): column v holds g . x_v."""
-    cols = [1 << basis.index[masks(sym_action(g, blocks(x)))] for x in basis.elements]
-    return gf2_from_columns(cols, basis.dim)
+    """Permutation matrix of g on M(alpha), basis = tabloid_basis(alpha):
+    column v holds g . x_v."""
+    index = {x: i for i, x in enumerate(basis)}
+    cols = [1 << index[masks(sym_action(g, blocks(x)))] for x in basis]
+    return gf2_from_columns(cols, len(basis))
 
 
 def _psi_stack_bits(lam) -> int:
@@ -637,14 +646,15 @@ def equivariant_hom_dim(alpha, beta) -> int:
     number of orbits of the diagonal generator action on coefficient cells.
     """
     assert alpha.degree == beta.degree
-    dom = enumerate_tabloids(alpha)
-    cod = enumerate_tabloids(beta)
-    da, db = dom.dim, cod.dim
+    dom, cod = tabloid_basis(alpha), tabloid_basis(beta)
+    dom_index = {x: i for i, x in enumerate(dom)}
+    cod_index = {y: i for i, y in enumerate(cod)}
+    da, db = len(dom), len(cod)
     parent = list(range(da * db))
     orbits = da * db
     for g in _generators(alpha.degree):
-        sig = [dom.index[masks(sym_action(g, blocks(x)))] for x in dom.elements]
-        tau = [cod.index[masks(sym_action(g, blocks(y)))] for y in cod.elements]
+        sig = [dom_index[masks(sym_action(g, blocks(x)))] for x in dom]
+        tau = [cod_index[masks(sym_action(g, blocks(y)))] for y in cod]
         for u in range(db):
             tu = tau[u] * da
             base = u * da

@@ -30,7 +30,7 @@ from spechtend.staircase import (
     theorem_matrix,
     verify_parity_theorem,
 )
-from spechtend.tabloids import _apply, _x0, enumerate_tabloids
+from spechtend.tabloids import _apply, _x0
 from spechtend.worked_examples import (
     CLASSIFIER_MATRIX,
     check_classifier,
@@ -38,7 +38,13 @@ from spechtend.worked_examples import (
     check_distribute_sets,
 )
 
-from oracles import equivariant_hom_dim, partitions_of, specht_kernel, syt_count
+from oracles import (
+    equivariant_hom_dim,
+    partitions_of,
+    specht_kernel,
+    syt_count,
+    tabloid_basis,
+)
 
 
 def _parity_families(max_r):
@@ -110,7 +116,7 @@ def test_criterion_06_rho_basis_claim_r6():
             assert equivariant_hom_dim(alpha, beta) == len(tables)
             # f -> f(x0) is injective on equivariant maps out of M(alpha), so
             # the maps rho[A] are independent iff the vectors rho[A](x0) are
-            index = enumerate_tabloids(beta).index
+            index = {y: i for i, y in enumerate(tabloid_basis(beta))}
             ech = TaggedEchelon()
             for c, A in enumerate(tables):
                 acc = sum(1 << index[y] for y in _apply(A, [_x0(alpha)]))

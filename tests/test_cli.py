@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -155,6 +156,20 @@ def test_unread_flags_are_refused(capsys, cmd, flag, value):
     assert code == 2
     assert out == ""
     assert f"unrecognized arguments: {flag} {value}" in err
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["scan", "--max-r"], "--max-r", "-3"),
+    (["tables", "--alpha", "2", "--beta", "1,1", "--max-tables"], "--max-tables", "-1"),
+    (BASE_ARGV["verify"] + ["--max-bits"], "--max-bits", "-1"),
+], ids=["max-r", "max-tables", "max-bits"])
+def test_negative_counts_are_usage_errors(capsys, argv, flag, value):
+    code, out, err = run(capsys, argv + [value])
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: must be at least 0, got {value}" in err
+    # 0 stays a valid count
+    args = cli.build_parser().parse_args(argv + ["0"])
+    assert getattr(args, flag[2:].replace("-", "_")) == 0
 
 
 def test_lambda_and_family_flags_exclude_each_other(capsys):
@@ -474,6 +489,20 @@ def _cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def test_readme_command_lines_parse():
+    # every command shown in the README's code blocks names real flags
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [line.strip() for block in readme.split("```")[1::2]
+             for line in block.splitlines() if line.strip().startswith("spechtend ")]
+    assert len(lines) >= 5
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_console_entry_exit_codes():

@@ -7,7 +7,6 @@ from spechtend import partitions, staircase, tabloids, worked_examples
 from spechtend.errors import InternalError, InvalidParameter, ParityError, VerificationError
 from spechtend.gf2 import Echelon
 from spechtend.partitions import (
-    Composition,
     enumerate_tables,
     staircase_families,
     staircase_family,
@@ -242,7 +241,7 @@ def test_verify_rejects_parity_violation():
 
 def test_audit_rejects_empty_support():
     fam = staircase_family(2, 2, 1)
-    fake = RelevanceResult(0, [], set())
+    fake = RelevanceResult(0, [], set(), 0, 0, 0)
     with pytest.raises(VerificationError):
         structural_lemma_audit(fam, fake)
 
@@ -286,7 +285,7 @@ def test_invariants_raise_internal_error(monkeypatch):
         theorem_matrix(dataclasses.replace(fam, b=fam.b + 1))
     monkeypatch.setattr(tabloids, "tabloid_dim", lambda alpha: 4)
     with pytest.raises(InternalError):
-        tabloids.TabloidBasis(Composition((2, 1)))
+        tabloids.rho_matrix(((2, 0), (0, 1)))
     monkeypatch.setattr(partitions, "transpose", lambda lam: lam)
     with pytest.raises(InternalError):
         staircase_family(3, 2, 3)

@@ -20,7 +20,6 @@ from spechtend.tabloids import (
     boundary_map,
     boundary_table,
     end_dimension_oracle,
-    enumerate_tabloids,
     maps_agree,
     rho_matrix,
     tabloid_dim,
@@ -46,28 +45,29 @@ from oracles import (
     specht_kernel,
     sym_action,
     syt_count,
+    tabloid_basis,
 )
 
 
 def test_single_tabloid():
-    basis = enumerate_tabloids(Composition((4,)))
-    assert basis.dim == 1
-    assert [blocks(x) for x in basis.elements] == [((1, 2, 3, 4),)]
+    basis = tabloid_basis(Composition((4,)))
+    assert len(basis) == 1
+    assert [blocks(x) for x in basis] == [((1, 2, 3, 4),)]
 
 
 def test_two_singleton_blocks():
-    basis = enumerate_tabloids(Composition((1, 1)))
-    assert [blocks(x) for x in basis.elements] == [((1,), (2,)), ((2,), (1,))]
+    basis = tabloid_basis(Composition((1, 1)))
+    assert [blocks(x) for x in basis] == [((1,), (2,)), ((2,), (1,))]
 
 
 def test_three_tabloids():
-    assert enumerate_tabloids(Composition((2, 1))).dim == 3
+    assert len(tabloid_basis(Composition((2, 1)))) == 3
 
 
 def test_empty_block_allowed():
-    basis = enumerate_tabloids(Composition((2, 0, 1)))
-    assert basis.dim == 3
-    assert all(blocks(x)[1] == () for x in basis.elements)
+    basis = tabloid_basis(Composition((2, 0, 1)))
+    assert len(basis) == 3
+    assert all(blocks(x)[1] == () for x in basis)
 
 
 @settings(max_examples=40, deadline=None)
@@ -76,16 +76,19 @@ def test_dim_is_multinomial(parts):
     alpha = Composition(parts)
     if alpha.degree > 7:
         return
-    basis = enumerate_tabloids(alpha)
-    assert basis.dim == multinomial(alpha.degree, parts)
-    for i, x in enumerate(basis.elements):
-        assert basis.index[x] == i
+    basis = tabloid_basis(alpha)
+    assert len(basis) == multinomial(alpha.degree, parts) == tabloid_dim(alpha)
+    # strictly ascending in the concatenated sorted blocks, so no repeats
+    keys = [sum(blocks(x), ()) for x in basis]
+    assert all(u < v for u, v in zip(keys, keys[1:]))
+    for x in basis:
         assert tuple(len(b) for b in blocks(x)) == alpha.parts
 
 
 def test_tabloid_cap():
+    # M((1,) * 8) has 8! tabloids, past the budget on its own
     with pytest.raises(CapExceeded):
-        enumerate_tabloids(Composition((1,) * 8), max_bits=100)
+        rho_matrix(((1,) * 8,), max_bits=100)
 
 
 def test_sym_action_identity():
@@ -104,14 +107,14 @@ def test_sym_action_rejects_non_permutation():
 
 def test_sym_action_composition_law():
     rng = random.Random(11)
-    basis = enumerate_tabloids(Composition((3, 2, 1)))
+    basis = tabloid_basis(Composition((3, 2, 1)))
     for _ in range(30):
         g = list(range(1, 7))
         h = list(range(1, 7))
         rng.shuffle(g)
         rng.shuffle(h)
         gh = tuple(g[h[i] - 1] for i in range(6))
-        for x in map(blocks, rng.sample(basis.elements, 3)):
+        for x in map(blocks, rng.sample(basis, 3)):
             assert sym_action(gh, x) == sym_action(g, sym_action(h, x))
 
 
@@ -128,11 +131,11 @@ def test_rho_swap():
 
 def test_rho_against_intersection_reference():
     A = ((2, 2), (1, 1))
-    dom = enumerate_tabloids(Composition((4, 2)))
-    cod = enumerate_tabloids(Composition((3, 3)))
+    dom = tabloid_basis(Composition((4, 2)))
+    cod = tabloid_basis(Composition((3, 3)))
     got = rho_matrix(A)
-    for v, x in enumerate(dom.elements):
-        expect = rho_column_reference(A, x, cod.elements)
+    for v, x in enumerate(dom):
+        expect = rho_column_reference(A, x, cod)
         assert gf2_column(got, v) == expect
         assert expect.bit_count() == 12  # C(4,2)*C(2,1) distinct images
 
@@ -165,14 +168,30 @@ def test_rho_cap():
         rho_matrix(((2, 2), (1, 1)), max_bits=10)
 
 
+def test_rho_cap_refuses_before_listing_a_basis(monkeypatch):
+    # each basis of M((6, 6)) has 924 tabloids and fits the budget, their
+    # 924x924 product does not
+    splits, calls = tabloids._splits, []
+
+    def counting(*args):
+        calls.append(args)
+        return splits(*args)
+
+    monkeypatch.setattr(tabloids, "_splits", counting)
+    assert tabloid_dim(Composition((6, 6))) == 924
+    with pytest.raises(CapExceeded, match="924x924 exceeds the bit budget"):
+        rho_matrix(((3, 3), (3, 3)), max_bits=10_000)
+    assert calls == []
+
+
 def test_rho_equivariance():
     # rho[A] commutes with the generator permutation matrices
     pairs = [((2, 1), (2, 1)), ((4, 2), (3, 3)), ((2, 2, 1), (3, 1, 1))]
     gens = lambda r: [(2, 1) + tuple(range(3, r + 1)), tuple(range(2, r + 1)) + (1,)]
     for pa, pb in pairs:
         alpha, beta = Composition(pa), Composition(pb)
-        dom = enumerate_tabloids(alpha)
-        cod = enumerate_tabloids(beta)
+        dom = tabloid_basis(alpha)
+        cod = tabloid_basis(beta)
         for A in enumerate_tables(alpha, beta):
             R = rho_matrix(A)
             for g in gens(alpha.degree):
@@ -311,26 +330,26 @@ def test_x0_images_match_dense_products():
         return {y for y, n in counts.items() if n & 1}
 
     def column0(M, cod):
-        return {y for y, row in zip(cod.elements, M.rows) if row & 1}
+        return {y for y, row in zip(cod, M.rows) if row & 1}
 
     checked = 0
     for lam in _small_partitions(6):
         lam_t = transpose(lam)
         x0 = tabloids._x0(lam_t)
-        cod_lam = enumerate_tabloids(lam)
+        cod_lam = tabloid_basis(lam)
         for adjacent in (True, False):
             for T in enumerate_tables(lam_t, lam):
                 R = rho_matrix(T)
                 for k in tabloids._boundary_indices(lam_t, adjacent):
                     mu = lam_t.shifted(*k)
-                    assert enumerate_tabloids(mu).elements[0] == tabloids._x0(mu)
+                    assert tabloid_basis(mu)[0] == tabloids._x0(mu)
                     P = boundary_table(lam_t, "phi", *k)
                     got = odd(T, odd(P, [tabloids._x0(mu)]))
                     assert got == column0(mat_mul(R, rho_matrix(P)), cod_lam), (T, k)
                     checked += 1
                 for k in tabloids._boundary_indices(lam, adjacent):
                     P = boundary_table(lam, "psi", *k)
-                    cod = enumerate_tabloids(lam.shifted(*k))
+                    cod = tabloid_basis(lam.shifted(*k))
                     got = odd(P, odd(T, [x0]))
                     assert got == column0(mat_mul(rho_matrix(P), R), cod), (T, k)
                     checked += 1
@@ -364,7 +383,7 @@ def test_maps_agree_rejects_mismatched_margins():
 def test_tabloid_basis_size_invariant(monkeypatch):
     monkeypatch.setattr(tabloids, "tabloid_dim", lambda alpha: 4)
     with pytest.raises(VerificationError):
-        tabloids.TabloidBasis(Composition((2, 1)))
+        rho_matrix(((2, 0), (0, 1)))
 
 
 def test_pack_rows_puts_each_row_in_whole_bytes():
