@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -29,7 +30,13 @@ from .partitions import (
     staircase_family,
 )
 from .relations import relation_provenance, relevance_system, solve_relevance
-from .staircase import check_family, flat_relevance_system, verify_parity_theorem
+from .staircase import (
+    VerifyReport,
+    check_family,
+    check_swapped,
+    flat_relevance_system,
+    verify_parity_theorem,
+)
 from .tabloids import end_dimension_oracle
 
 EXIT_OK = 0
@@ -158,6 +165,118 @@ def _load_cache(path: str) -> Dict[tuple, dict]:
     return cache
 
 
+def _record(report: VerifyReport, key: str, max_bits: int) -> dict:
+    """The scan record of a report, as printed and cached."""
+    rec = report.to_json_dict()
+    rec.update(
+        key=key,
+        support_digest=_support_digest(rec.pop("support")),
+        # the theorem claims nothing for a non-parity family
+        verdict=report.failures() if report.parity else None,
+        max_bits=max_bits,
+        version=__version__,
+        timestamp=int(time.time()),
+    )
+    return rec
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _swap_tasks(todo: List[Tuple[int, StaircaseFamily]]) -> List[tuple]:
+    """The (index, family) pairs of todo grouped into tasks by swap pair, the
+    earlier family first; a family that is its own swap, or whose swap is not
+    in todo, is a task of its own."""
+    at = {(f.a, f.m, f.b): (i, f) for i, f in todo}
+    tasks = []
+    for i, f in todo:
+        if at.pop((f.a, f.m, f.b), None) is None:
+            continue  # already in its partner's task
+        partner = at.pop((f.a_prime, f.m, f.b_prime), None)
+        tasks.append(((i, f),) if partner is None else ((i, f), partner))
+    return tasks
+
+
+def _run_task(task: tuple, max_tables: int, max_bits: int) -> List[tuple]:
+    """(index, report or the exception it raised) per family of a swap-pair
+    task.  The first family's flat system is solved; its partner's report is
+    built from that solve.  If the first family raises, the task ends there:
+    the scan stops at that family, before its partner's record."""
+    (i, first), *partner = task
+    try:
+        report = check_family(first, max_tables, max_bits)
+    except Exception as exc:
+        return [(i, exc)]
+    out = [(i, report)]
+    for j, _ in partner:
+        try:
+            out.append((j, check_swapped(report, max_bits)))
+        except Exception as exc:
+            out.append((j, exc))
+    return out
+
+
+class _WorkerTraceback(Exception):
+    """The traceback, as text, of an exception raised in a pool worker."""
+
+    def __str__(self) -> str:
+        return "\n" + self.args[0]
+
+
+def _with_cause(exc: BaseException, text: str) -> BaseException:
+    exc.__cause__ = _WorkerTraceback(text)
+    return exc
+
+
+class _Carried:
+    """An exception sent from a pool worker: it unpickles as the exception
+    itself, with the worker's traceback as its cause."""
+
+    def __init__(self, exc: BaseException):
+        self.exc, self.text = exc, "".join(traceback.format_exception(exc))
+
+    def __reduce__(self):
+        return _with_cause, (self.exc, self.text)
+
+
+def _pooled_task(task: tuple, max_tables: int, max_bits: int) -> List[tuple]:
+    """_run_task in a pool worker, each exception sent with its traceback."""
+    return [(i, _Carried(out) if isinstance(out, BaseException) else out)
+            for i, out in _run_task(task, max_tables, max_bits)]
+
+
+@contextlib.contextmanager
+def _outcomes(tasks: List[tuple], max_tables: int, max_bits: int):
+    """An iterator over the tasks' _run_task results, in no fixed order.
+
+    The tasks run on a fork pool with one worker per usable CPU, at most one
+    per task, or in this process when that is one worker.  The pool is
+    terminated and joined on leaving the context, however it is left.
+    """
+    workers = min(_usable_cpus(), len(tasks))
+    if workers <= 1:
+        yield (_run_task(task, max_tables, max_bits) for task in tasks)
+        return
+    import multiprocessing  # imported here: it costs every other command 20 ms
+    import signal
+
+    # a fork worker starts with the package loaded and needs no import; the
+    # workers ignore Ctrl-C, which reaches this process and ends the pool
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+    try:
+        yield pool.imap_unordered(
+            functools.partial(_pooled_task, max_tables=max_tables, max_bits=max_bits), tasks)
+    finally:
+        pool.terminate()
+        pool.join()
+
+
 def cmd_scan(args) -> int:
     cache = _load_cache(args.cache) if args.cache else {}
     fams = staircase_families(args.max_r)
@@ -165,28 +284,27 @@ def cmd_scan(args) -> int:
         fams = [f for f in fams if f.parity_ok]
     elif args.parity == "mismatch":
         fams = [f for f in fams if not f.parity_ok]
+    keys = [",".join(str(p) for p in fam.lam.parts) for fam in fams]
+    recs = [None if args.force else cache.get(
+        (key, fam.a, fam.m, fam.b, __version__, args.max_bits)) for key, fam in zip(keys, fams)]
+    tasks = _swap_tasks([(k, fam) for k, (fam, rec) in enumerate(zip(fams, recs)) if rec is None])
     failed = False
     try:
         sink = open(args.cache, "a") if args.cache else contextlib.nullcontext()
     except OSError as exc:
         raise InvalidParameter(f"cannot append to cache {args.cache}: {exc.strerror}") from exc
-    with sink as out:
-        for fam in fams:
-            key = ",".join(str(p) for p in fam.lam.parts)
-            rec = None if args.force else cache.get(
-                (key, fam.a, fam.m, fam.b, __version__, args.max_bits))
+    with sink as out, _outcomes(tasks, args.max_tables, args.max_bits) as results:
+        done: Dict[int, object] = {}
+        # records go out in family order, each as soon as it and every
+        # earlier one are done; a family's exception stops the scan there
+        for k, (key, rec) in enumerate(zip(keys, recs)):
             if rec is None:
-                report = check_family(fam, args.max_tables, args.max_bits)
-                rec = report.to_json_dict()
-                rec.update(
-                    key=key,
-                    support_digest=_support_digest(rec.pop("support")),
-                    # the theorem claims nothing for a non-parity family
-                    verdict=report.failures() if fam.parity_ok else None,
-                    max_bits=args.max_bits,
-                    version=__version__,
-                    timestamp=int(time.time()),
-                )
+                while k not in done:
+                    done.update(next(results))
+                report = done.pop(k)
+                if isinstance(report, BaseException):
+                    raise report
+                rec = _record(report, key, args.max_bits)
                 if out is not None:
                     out.write(json.dumps(rec, sort_keys=True) + "\n")
                     out.flush()

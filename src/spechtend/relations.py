@@ -49,9 +49,17 @@ def _orientations(alpha: Composition, beta: Composition) -> tuple:
     the transposed weights, which code the transposed targets directly."""
     base, m, n = alpha.degree + 1, alpha.width, beta.width
     w = [[base ** (m * n - 1 - (r * n + c)) for c in range(n)] for r in range(m)]
+    unit, rows = base ** n, {}  # rows: {code of one row: the row}, filled as met
 
     def decode(code: int) -> Table:
-        return tuple(tuple(code // x % base for x in row) for row in w)
+        table = []
+        for _ in range(m):  # the last row is the lowest digit block
+            code, low = divmod(code, unit)
+            row = rows.get(low)
+            if row is None:
+                row = rows[low] = tuple(low // x % base for x in w[-1])
+            table.append(row)
+        return tuple(reversed(table))
 
     return w, decode, ((alpha, beta, w), (beta, alpha, list(zip(*w))))
 

@@ -5,7 +5,8 @@ isomorphic to the nullspace of a relation system on the m x m tables with
 margins alpha = (a', m-1, ..., 2, b') and beta = (a, m-1, ..., 2, b).  This
 module builds that flat system, expands flat tables back to full ones, runs
 the structural classifiers on flat tables, and checks families: `check_family`
-computes a report and `VerifyReport.failures` alone judges the parity theorem.
+computes a report, `check_swapped` derives the swapped family's report from
+its flat solve, and `VerifyReport.failures` alone judges the parity theorem.
 Every function here takes and returns plain tables, tuples of row tuples;
 only the support in a report and the predicted `theorem_matrix` are
 TabMatrix records.
@@ -14,12 +15,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from .errors import CapExceeded, InternalError, InvalidParameter, ParityError, VerificationError
 from .limits import DEFAULT_MAX_BITS, DEFAULT_MAX_TABLES
 from .partitions import StaircaseFamily, TabMatrix, Table, enumerate_tables, transpose_table
-from .relations import RelationSystem, RelevanceResult, relation_system, solve_relevance
+from .relations import RelationSystem, relation_system, solve_relevance
 from .tabloids import end_dimension_oracle
 
 
@@ -197,16 +198,16 @@ AUDIT_NAMES = (
 
 
 def structural_lemma_audit(
-    family: StaircaseFamily, rel: RelevanceResult
+    family: StaircaseFamily, support: Collection[TabMatrix]
 ) -> Dict[str, str]:
     """Check the structural vanishing statements on the computed support."""
     m = family.m
     audits: Dict[str, bool] = {name: True for name in AUDIT_NAMES}
-    if not rel.support:
+    if not support:
         raise InternalError(
             "empty support: the identity endomorphism guarantees a nonzero solution"
         )
-    for S in rel.support:
+    for S in support:
         A = S.entries
         rep = classify_structure(A)
         if A[m - 1][m - 1] != 0:
@@ -277,6 +278,31 @@ class VerifyReport:
         }
 
 
+def _judged(
+    family: StaircaseFamily,
+    num_tables: int,
+    rel_dim: int,
+    support: List[TabMatrix],
+    max_bits: int,
+    run_oracle: bool,
+    t0: float,
+) -> VerifyReport:
+    """The report of a family whose flat system is solved: run the oracle
+    (end_dim None when capped) and audit the support; elapsed_ms runs from t0."""
+    end_dim: Optional[int] = None
+    if run_oracle:
+        try:
+            end_dim = end_dimension_oracle(family.lam, max_bits)
+        except CapExceeded:
+            pass
+    audits = structural_lemma_audit(family, support)
+    if end_dim is not None and end_dim > rel_dim:
+        raise InternalError(f"oracle End {end_dim} > Rel {rel_dim} for {family.lam.parts}")
+    elapsed = int((time.monotonic() - t0) * 1000)
+    return VerifyReport(family, family.parity_ok, num_tables, rel_dim, end_dim, support,
+                        audits, elapsed)
+
+
 def check_family(
     family: StaircaseFamily,
     max_tables: int = DEFAULT_MAX_TABLES,
@@ -289,26 +315,24 @@ def check_family(
     t0 = time.monotonic()
     sys = flat_relevance_system(family, max_tables)
     rel = solve_relevance(sys)
-    end_dim: Optional[int] = None
-    if run_oracle:
-        try:
-            end_dim = end_dimension_oracle(family.lam, max_bits)
-        except CapExceeded:
-            pass
-    audits = structural_lemma_audit(family, rel)
-    if end_dim is not None and end_dim > rel.dim:
-        raise InternalError(f"oracle End {end_dim} > Rel {rel.dim} for {family.lam.parts}")
-    elapsed = int((time.monotonic() - t0) * 1000)
-    return VerifyReport(
-        family,
-        family.parity_ok,
-        len(sys.tables),
-        rel.dim,
-        end_dim,
-        sorted(rel.support, key=lambda A: A.entries),
-        audits,
-        elapsed,
-    )
+    support = sorted(rel.support, key=lambda A: A.entries)
+    return _judged(family, len(sys.tables), rel.dim, support, max_bits, run_oracle, t0)
+
+
+def check_swapped(report: VerifyReport, max_bits: int = DEFAULT_MAX_BITS) -> VerifyReport:
+    """check_family of the swapped family (a', m, b'), from report's flat solve.
+
+    The flat system of (a', m, b') is that of (a, m, b) with every table
+    transposed, so it has as many tables, the same relevance dimension, and
+    report's support transposed entry by entry.  The oracle, the audits and
+    the verdict are the swapped family's own, and its elapsed_ms leaves out
+    the shared solve.
+    """
+    t0 = time.monotonic()
+    support = sorted((TabMatrix(transpose_table(A.entries)) for A in report.support),
+                     key=lambda A: A.entries)
+    return _judged(report.family.swapped(), report.num_tables, report.rel_dim, support,
+                   max_bits, run_oracle=True, t0=t0)
 
 
 def verify_parity_theorem(

@@ -180,7 +180,7 @@ def test_criterion_11_structural_audits_r12():
     fams = _parity_families(12)
     for fam in fams:
         rel = solve_relevance(flat_relevance_system(fam))
-        audits = structural_lemma_audit(fam, rel)
+        audits = structural_lemma_audit(fam, rel.support)
         assert set(audits.values()) == {"pass"}, (fam.a, fam.m, fam.b, audits)
     print(
         f"\n[PASS] criterion 11: all five structural audits pass on the "

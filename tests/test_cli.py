@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import shlex
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from spechtend import (
     cli, gf2, partitions, relations, selftest, staircase, tabloids, worked_examples,
 )
-from spechtend.errors import CapExceeded, InvalidParameter
+from spechtend.errors import CapExceeded, InternalError, InvalidParameter
 from spechtend.limits import DEFAULT_MAX_BITS
 
 from oracles import partitions_of
@@ -360,30 +361,34 @@ def test_scan_exits_1_when_a_parity_family_fails(tmp_path, capsys, monkeypatch):
     cache = str(tmp_path / "scan.jsonl")
     original = staircase.solve_relevance
 
-    def solve(system):  # dimension 2 for the parity family (3,2,1)
+    def solve(system):  # dimension 2 for the swap pair (2,2,2), (3,2,1)
         rel = original(system)
-        if system.alpha.parts == (2, 2):
+        if system.alpha.parts in ((3, 1), (2, 2)):
             rel = dataclasses.replace(rel, dim=2)
         return rel
 
     monkeypatch.setattr(staircase, "solve_relevance", solve)
-    code, out, err = run(capsys, ["scan", "--max-r", "5", "--cache", cache])
+    code, out, err = run(capsys, ["scan", "--max-r", "6", "--cache", cache])
     assert code == 1
-    assert "(3,2,1)" in err and "(2,2,2)" not in err
     recs = _lines(out)
-    assert [(r["a"], r["m"], r["b"]) for r in recs] == [(2, 2, 2), (3, 2, 1)]
-    assert recs[0]["verdict"] == []
+    assert [(r["a"], r["m"], r["b"]) for r in recs] == [
+        (2, 2, 2), (3, 2, 1), (2, 2, 4), (3, 2, 3), (4, 2, 2), (5, 2, 1)]
+    assert recs[0]["verdict"] == ["flat relevance dimension 2 != 1 for (2,2,2)"]
     assert recs[1]["verdict"] == ["flat relevance dimension 2 != 1 for (3,2,1)"]
+    assert all(r["verdict"] == [] for r in recs[2:])
+    assert "(2,2,2)" in err and "(3,2,1)" in err
+    assert not any(f"({r['a']},{r['m']},{r['b']})" in err for r in recs[2:])
     assert _lines(Path(cache).read_text()) == recs
 
-    # served from the cache alone, the failed record still fails the scan
+    # served from the cache alone, the failed records still fail the scan
     def no_compute(*args, **kwargs):
         raise RuntimeError("a cached family was recomputed")
 
     monkeypatch.setattr(cli, "check_family", no_compute)
-    code, out2, err = run(capsys, ["scan", "--max-r", "5", "--cache", cache])
+    monkeypatch.setattr(cli, "check_swapped", no_compute)
+    code, out2, err = run(capsys, ["scan", "--max-r", "6", "--cache", cache])
     assert code == 1
-    assert "(3,2,1)" in err
+    assert "(2,2,2)" in err and "(3,2,1)" in err
     assert out2 == out
 
 
@@ -399,23 +404,22 @@ def test_scan_verdict_only_for_parity_families(capsys):
 
 def test_scan_keeps_the_records_made_before_a_stop(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "scan.jsonl"
-    calls = []
-    original = cli.check_family
+    fams = partitions.staircase_families(5)
+    original = staircase.structural_lemma_audit
 
-    def stop_on_third(fam, *args):
-        calls.append(fam)
-        if len(calls) == 3:
+    def stop_on_third(fam, support):
+        if fam == fams[2]:
             raise CapExceeded("stopped on the third family")
-        return original(fam, *args)
+        return original(fam, support)
 
-    monkeypatch.setattr(cli, "check_family", stop_on_third)
+    monkeypatch.setattr(staircase, "structural_lemma_audit", stop_on_third)
     code, out, _ = run(capsys, ["scan", "--max-r", "5", "--parity", "all",
                                 "--cache", str(cache)])
     assert code == 2
     cached = _lines(cache.read_text())
     assert cached == _lines(out)
     assert [(r["a"], r["m"], r["b"]) for r in cached] == [
-        (f.a, f.m, f.b) for f in calls[:2]
+        (f.a, f.m, f.b) for f in fams[:2]
     ]
 
 
@@ -466,10 +470,7 @@ def test_empty_kernel_is_an_internal_error(capsys, monkeypatch):
 def test_end_above_rel_is_an_internal_error(tmp_path, capsys, monkeypatch):
     # End <= Rel always holds, so an oracle result above Rel is a bug and
     # must not be recorded, even for a family whose verdict is null
-    seen = []
-
     def above_rel(lam, max_bits):
-        seen.append(",".join(map(str, lam.parts)))
         return tabloids.hom_solution_space(lam, adjacent=False)[0] + 1
 
     monkeypatch.setattr(staircase, "end_dimension_oracle", above_rel)
@@ -481,7 +482,69 @@ def test_end_above_rel_is_an_internal_error(tmp_path, capsys, monkeypatch):
                                 "--cache", str(cache)])
     assert code == 3
     assert "InternalError" in err
-    assert seen[-1] not in [r["key"] for r in _lines(cache.read_text())]
+    # the first family in scan order already fails, so nothing is recorded
+    assert cache.read_text() == ""
+
+
+def _two_cpus(monkeypatch):
+    # a pool of two workers, whatever this machine's CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def test_no_process_outlives_scan(capsys, monkeypatch):
+    _two_cpus(monkeypatch)
+    assert run(capsys, ["scan", "--max-r", "6"])[0] == 0
+    assert multiprocessing.active_children() == []
+    code, _, err = run(capsys, ["scan", "--max-r", "6", "--max-tables", "1"])
+    assert code == 2 and "more than 1 tables" in err
+    assert multiprocessing.active_children() == []
+    original = staircase.solve_relevance
+    monkeypatch.setattr(staircase, "solve_relevance",
+                        lambda system: dataclasses.replace(original(system), dim=2))
+    assert run(capsys, ["scan", "--max-r", "6"])[0] == 1
+    assert multiprocessing.active_children() == []
+
+    def broken(fam, support):
+        raise InternalError(f"injected in process {os.getpid()}")
+
+    monkeypatch.setattr(staircase, "structural_lemma_audit", broken)
+    code, out, err = run(capsys, ["scan", "--max-r", "6"])
+    assert (code, out) == (3, "")
+    assert multiprocessing.active_children() == []
+    # raised in a worker, it carries the worker's traceback to stderr
+    pid = int(err.rsplit("injected in process ", 1)[1].split()[0])
+    assert pid != os.getpid()
+    assert "in broken" in err
+
+
+def test_scan_records_equal_check_family(capsys, monkeypatch):
+    # a pooled scan, half of whose families take the transposed solve of
+    # their swap partner, matches check_family family by family, and a scan
+    # on one CPU, which starts no process, prints the same
+    argv = ["scan", "--max-r", "12", "--parity", "all", "--max-bits", "4000000"]
+
+    def strip(recs):
+        return [{k: v for k, v in r.items() if k not in ("timestamp", "elapsed_ms")}
+                for r in recs]
+
+    _two_cpus(monkeypatch)
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    recs = strip(_lines(out))
+    fams = partitions.staircase_families(12)
+    assert len(recs) == len(fams)
+    want = [cli._record(staircase.check_family(f, max_bits=4000000),
+                        ",".join(map(str, f.lam.parts)), 4000000) for f in fams]
+    assert recs == strip(want)
+
+    def no_pool(*args):
+        raise RuntimeError("scan started a pool on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    code, out1, _ = run(capsys, argv)
+    assert code == 0
+    assert strip(_lines(out1)) == recs
 
 
 def _cli_env():

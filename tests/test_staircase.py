@@ -11,7 +11,7 @@ from spechtend.partitions import (
     staircase_families,
     staircase_family,
 )
-from spechtend.relations import RelevanceResult, relevance_system, solve_relevance
+from spechtend.relations import relevance_system, solve_relevance
 from spechtend.staircase import (
     check_family,
     classify_structure,
@@ -241,9 +241,8 @@ def test_verify_rejects_parity_violation():
 
 def test_audit_rejects_empty_support():
     fam = staircase_family(2, 2, 1)
-    fake = RelevanceResult(0, [], set(), 0, 0, 0)
     with pytest.raises(VerificationError):
-        structural_lemma_audit(fam, fake)
+        structural_lemma_audit(fam, set())
 
 
 def test_distribute_rows_matches_permutation_reference():

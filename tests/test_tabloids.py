@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spechtend import tabloids
-from spechtend.errors import CapExceeded, InvalidParameter, VerificationError
+from spechtend.errors import CapExceeded, InvalidParameter
 from spechtend.gf2 import Gf2Matrix, mat_mul
 from spechtend.partitions import (
     Composition,
@@ -378,12 +378,6 @@ def test_maps_agree_rejects_mismatched_margins():
         maps_agree([phi], [], Composition((2, 1)))
     with pytest.raises(InvalidParameter):
         maps_agree([phi], [((2, 1),)], Composition((3, 0)))
-
-
-def test_tabloid_basis_size_invariant(monkeypatch):
-    monkeypatch.setattr(tabloids, "tabloid_dim", lambda alpha: 4)
-    with pytest.raises(VerificationError):
-        rho_matrix(((2, 0), (0, 1)))
 
 
 def test_pack_rows_puts_each_row_in_whole_bytes():
