@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 failed mathematical assertion, 2 usage or cap error
-or output closed early, 3 internal error (a broken invariant or an
-unexpected exception).
+or output closed early, 3 internal error (a broken invariant, an unexpected
+exception, or a `scan` pool worker that died).
 """
 from __future__ import annotations
 
@@ -203,50 +203,28 @@ def _swap_tasks(todo: List[Tuple[int, StaircaseFamily]]) -> List[tuple]:
 
 
 def _run_task(task: tuple, max_tables: int, max_bits: int) -> List[tuple]:
-    """(index, report or the exception it raised) per family of a swap-pair
-    task.  The first family's flat system is solved; its partner's report is
-    built from that solve.  If the first family raises, the task ends there:
-    the scan stops at that family, before its partner's record."""
-    (i, first), *partner = task
+    """(index, report) per family of a swap-pair task; a family that raises
+    ends the task as (index, the exception).  The first family's flat system
+    is solved and its partner's report built from that solve, so a first
+    family that raises leaves its partner unrun."""
+    out: List[tuple] = []
     try:
-        report = check_family(first, max_tables, max_bits)
+        for i, fam in task:
+            report = check_swapped(report, max_bits) if out else check_family(
+                fam, max_tables, max_bits)
+            out.append((i, report))
     except Exception as exc:
-        return [(i, exc)]
-    out = [(i, report)]
-    for j, _ in partner:
-        try:
-            out.append((j, check_swapped(report, max_bits)))
-        except Exception as exc:
-            out.append((j, exc))
+        out.append((i, exc))
     return out
 
 
-class _WorkerTraceback(Exception):
-    """The traceback, as text, of an exception raised in a pool worker."""
-
-    def __str__(self) -> str:
-        return "\n" + self.args[0]
-
-
-def _with_cause(exc: BaseException, text: str) -> BaseException:
-    exc.__cause__ = _WorkerTraceback(text)
-    return exc
-
-
-class _Carried:
-    """An exception sent from a pool worker: it unpickles as the exception
-    itself, with the worker's traceback as its cause."""
-
-    def __init__(self, exc: BaseException):
-        self.exc, self.text = exc, "".join(traceback.format_exception(exc))
-
-    def __reduce__(self):
-        return _with_cause, (self.exc, self.text)
-
-
 def _pooled_task(task: tuple, max_tables: int, max_bits: int) -> List[tuple]:
-    """_run_task in a pool worker, each exception sent with its traceback."""
-    return [(i, _Carried(out) if isinstance(out, BaseException) else out)
+    """_run_task in a pool worker: an exception unpickles in the scanning
+    process with the worker's traceback as its cause."""
+    from multiprocessing.pool import ExceptionWithTraceback
+
+    return [(i, ExceptionWithTraceback(out, out.__traceback__)
+             if isinstance(out, BaseException) else out)
             for i, out in _run_task(task, max_tables, max_bits)]
 
 
@@ -267,11 +245,27 @@ def _outcomes(tasks: List[tuple], max_tables: int, max_bits: int):
 
     # a fork worker starts with the package loaded and needs no import; the
     # workers ignore Ctrl-C, which reaches this process and ends the pool
+    before = multiprocessing.active_children()
     pool = multiprocessing.get_context("fork").Pool(
         workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+
+    def watched(results, started):
+        # the pool replaces a worker that dies, but its task's result never
+        # comes: a worker with an exit code ends the scan
+        while True:
+            try:
+                yield results.next(timeout=1)
+            except multiprocessing.TimeoutError:
+                for p in started:
+                    if p.exitcode is not None:
+                        raise InternalError(
+                            f"pool worker {p.pid} died with exit code {p.exitcode}") from None
+
     try:
-        yield pool.imap_unordered(
+        started = [p for p in multiprocessing.active_children() if p not in before]
+        results = pool.imap_unordered(
             functools.partial(_pooled_task, max_tables=max_tables, max_bits=max_bits), tasks)
+        yield watched(results, started)
     finally:
         pool.terminate()
         pool.join()

@@ -226,9 +226,10 @@ def solve_relevance(sys: RelationSystem) -> RelevanceResult:
     kernel = sparse_nullspace(sys.rows, n)
     support: Set[TabMatrix] = set()
     for v in kernel.basis:
-        for c in range(n):
-            if (v >> c) & 1:
-                support.add(TabMatrix(sys.tables[c]))
+        while v:
+            low = v & -v
+            support.add(TabMatrix(sys.tables[low.bit_length() - 1]))
+            v ^= low
     return RelevanceResult(
         len(kernel.basis), kernel.basis, support,
         kernel.rank, kernel.residual_rows, kernel.residual_cols,
@@ -271,7 +272,8 @@ def transpose_hom(
     """Push a coefficient vector through entrywise transposition of tables."""
     index_t = {T: c for c, T in enumerate(tables_t)}
     out = 0
-    for c, T in enumerate(tables):
-        if (x >> c) & 1:
-            out |= 1 << index_t[transpose_table(T)]
+    while x:
+        low = x & -x
+        out |= 1 << index_t[transpose_table(tables[low.bit_length() - 1])]
+        x ^= low
     return out

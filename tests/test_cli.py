@@ -3,7 +3,9 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -402,25 +404,36 @@ def test_scan_verdict_only_for_parity_families(capsys):
     assert {r["rel_dim"] for r in recs if not r["parity"]} == {1, 2}
 
 
-def test_scan_keeps_the_records_made_before_a_stop(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("cpus, error, want", [
+    (1, CapExceeded, 2), (2, CapExceeded, 2), (2, InternalError, 3),
+], ids=["one_cpu", "two_cpus", "two_cpus_internal_error"])
+def test_scan_keeps_the_records_made_before_a_stop(tmp_path, capsys, monkeypatch,
+                                                   cpus, error, want):
+    # the third family, (3,2,1), is the partner in the task of the second
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     cache = tmp_path / "scan.jsonl"
     fams = partitions.staircase_families(5)
     original = staircase.structural_lemma_audit
 
     def stop_on_third(fam, support):
         if fam == fams[2]:
-            raise CapExceeded("stopped on the third family")
+            raise error(f"stopped on the third family in process {os.getpid()}")
         return original(fam, support)
 
     monkeypatch.setattr(staircase, "structural_lemma_audit", stop_on_third)
-    code, out, _ = run(capsys, ["scan", "--max-r", "5", "--parity", "all",
-                                "--cache", str(cache)])
-    assert code == 2
+    code, out, err = run(capsys, ["scan", "--max-r", "5", "--parity", "all",
+                                  "--cache", str(cache)])
+    assert code == want
     cached = _lines(cache.read_text())
     assert cached == _lines(out)
     assert [(r["a"], r["m"], r["b"]) for r in cached] == [
         (f.a, f.m, f.b) for f in fams[:2]
     ]
+    if error is InternalError:
+        # a partner's exception, sent from a worker with the worker's traceback
+        pid = int(err.rsplit("in process ", 1)[1].split()[0])
+        assert pid != os.getpid()
+        assert "in stop_on_third" in err
 
 
 def test_scan_cache_is_keyed_on_max_bits(tmp_path, capsys):
@@ -552,6 +565,52 @@ def _cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+_KILL_ONE_WORKER = """
+import multiprocessing, os, signal, sys
+from spechtend import cli, staircase
+
+os.sched_getaffinity = lambda pid: {0, 1}
+scanning_pid = os.getpid()
+original = staircase.structural_lemma_audit
+
+def audit(fam, support):
+    if (fam.a, fam.m, fam.b) == (4, 2, 2) and os.getpid() != scanning_pid:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return original(fam, support)
+
+staircase.structural_lemma_audit = audit
+code = cli.main(["scan", "--max-r", "7", "--cache", sys.argv[1]])
+print("live children:", len(multiprocessing.active_children()), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_a_dead_worker_ends_the_scan(tmp_path):
+    # a worker killed mid-task (say, by the OOM killer) stops the scan with
+    # exit 3, keeping the records made before it, instead of hanging it
+    cache = tmp_path / "scan.jsonl"
+    proc = subprocess.Popen([sys.executable, "-c", _KILL_ONE_WORKER, str(cache)],
+                            env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the scan was still waiting 60 s after a worker was killed")
+    assert proc.returncode == 3, err
+    assert re.search(r"InternalError: pool worker \d+ died with exit code -9\n", err)
+    assert err.endswith("live children: 0\n")
+    recs = _lines(out)
+    assert _lines(cache.read_text()) == recs
+    fams = [f for f in partitions.staircase_families(7) if f.parity_ok]
+    killed = [(f.a, f.m, f.b) for f in fams].index((4, 2, 2))
+    assert len(recs) < killed
+    assert [(r["a"], r["m"], r["b"]) for r in recs] == [
+        (f.a, f.m, f.b) for f in fams[:len(recs)]
+    ]
 
 
 def test_readme_command_lines_parse():
