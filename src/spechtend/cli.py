@@ -15,7 +15,7 @@ import os
 import sys
 import time
 import traceback
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, TextIO, Tuple
 
 from . import __version__
 from .errors import CapExceeded, InternalError, InvalidParameter, ParityError, VerificationError
@@ -134,35 +134,34 @@ def _verdict_fits(rec: dict) -> bool:
     return isinstance(verdict, list) and all(isinstance(v, str) for v in verdict)
 
 
-def _load_cache(path: str) -> Dict[tuple, dict]:
-    """Cached records keyed on (partition, a, m, b, version, max_bits)."""
-    cache: Dict[tuple, dict] = {}
+def _open_cache(path: str) -> Tuple[TextIO, Dict[tuple, dict]]:
+    """The cache, opened once to read and then append, and its records keyed
+    on (partition, a, m, b, version, max_bits).  A torn last line is skipped
+    as corrupt and then ended, so the next record appended gets its own line."""
     try:
         # undecodable bytes become U+FFFD, so their line is skipped as corrupt
-        fh = open(path, errors="replace")
-    except FileNotFoundError:
-        return cache
+        fh = open(path, "a+", errors="replace")
     except OSError as exc:
-        raise InvalidParameter(f"cannot read cache {path}: {exc.strerror}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                # a record must hold every field scan reads from it, with
-                # the verdict type this run would write for its family
-                if not _verdict_fits(rec):
-                    raise ValueError
-                cache[rec["key"], rec["a"], rec["m"], rec["b"],
-                      rec.get("version"), rec.get("max_bits")] = rec
-            except (ValueError, KeyError, TypeError):
-                print(
-                    f"warning: skipping corrupt cache line {lineno}",
-                    file=sys.stderr,
-                )
-    return cache
+        raise InvalidParameter(f"cannot open cache {path}: {exc.strerror}") from exc
+    fh.seek(0)
+    cache: Dict[tuple, dict] = {}
+    raw = "\n"
+    for lineno, raw in enumerate(fh, 1):
+        if raw.isspace():
+            continue
+        try:
+            rec = json.loads(raw.strip())
+            # a record must hold every field scan reads from it, with
+            # the verdict type this run would write for its family
+            if not _verdict_fits(rec):
+                raise ValueError
+            cache[rec["key"], rec["a"], rec["m"], rec["b"],
+                  rec.get("version"), rec.get("max_bits")] = rec
+        except (ValueError, KeyError, TypeError):
+            print(f"warning: skipping corrupt cache line {lineno}", file=sys.stderr)
+    if not raw.endswith("\n"):
+        fh.write("\n")
+    return fh, cache
 
 
 def _record(report: VerifyReport, key: str, max_bits: int) -> dict:
@@ -272,7 +271,7 @@ def _outcomes(tasks: List[tuple], max_tables: int, max_bits: int):
 
 
 def cmd_scan(args) -> int:
-    cache = _load_cache(args.cache) if args.cache else {}
+    sink, cache = _open_cache(args.cache) if args.cache else (contextlib.nullcontext(), {})
     fams = staircase_families(args.max_r)
     if args.parity == "match":
         fams = [f for f in fams if f.parity_ok]
@@ -283,10 +282,6 @@ def cmd_scan(args) -> int:
         (key, fam.a, fam.m, fam.b, __version__, args.max_bits)) for key, fam in zip(keys, fams)]
     tasks = _swap_tasks([(k, fam) for k, (fam, rec) in enumerate(zip(fams, recs)) if rec is None])
     failed = False
-    try:
-        sink = open(args.cache, "a") if args.cache else contextlib.nullcontext()
-    except OSError as exc:
-        raise InvalidParameter(f"cannot append to cache {args.cache}: {exc.strerror}") from exc
     with sink as out, _outcomes(tasks, args.max_tables, args.max_bits) as results:
         done: Dict[int, object] = {}
         # records go out in family order, each as soon as it and every

@@ -284,17 +284,15 @@ def _judged(
     rel_dim: int,
     support: List[TabMatrix],
     max_bits: int,
-    run_oracle: bool,
     t0: float,
 ) -> VerifyReport:
     """The report of a family whose flat system is solved: run the oracle
     (end_dim None when capped) and audit the support; elapsed_ms runs from t0."""
     end_dim: Optional[int] = None
-    if run_oracle:
-        try:
-            end_dim = end_dimension_oracle(family.lam, max_bits)
-        except CapExceeded:
-            pass
+    try:
+        end_dim = end_dimension_oracle(family.lam, max_bits)
+    except CapExceeded:
+        pass
     audits = structural_lemma_audit(family, support)
     if end_dim is not None and end_dim > rel_dim:
         raise InternalError(f"oracle End {end_dim} > Rel {rel_dim} for {family.lam.parts}")
@@ -307,16 +305,16 @@ def check_family(
     family: StaircaseFamily,
     max_tables: int = DEFAULT_MAX_TABLES,
     max_bits: int = DEFAULT_MAX_BITS,
-    run_oracle: bool = True,
 ) -> VerifyReport:
-    """Solve the flat system, run the oracle (end_dim None when capped) and
-    audit the support, for any family.  A failed claim never raises; an
-    oracle End above Rel raises InternalError, since End <= Rel always."""
+    """Solve the flat system, run the oracle (end_dim None when capped, so
+    max_bits=0 turns it off) and audit the support, for any family.  A failed
+    claim never raises; an oracle End above Rel raises InternalError, since
+    End <= Rel always."""
     t0 = time.monotonic()
     sys = flat_relevance_system(family, max_tables)
     rel = solve_relevance(sys)
     support = sorted(rel.support, key=lambda A: A.entries)
-    return _judged(family, len(sys.tables), rel.dim, support, max_bits, run_oracle, t0)
+    return _judged(family, len(sys.tables), rel.dim, support, max_bits, t0)
 
 
 def check_swapped(report: VerifyReport, max_bits: int = DEFAULT_MAX_BITS) -> VerifyReport:
@@ -332,7 +330,7 @@ def check_swapped(report: VerifyReport, max_bits: int = DEFAULT_MAX_BITS) -> Ver
     support = sorted((TabMatrix(transpose_table(A.entries)) for A in report.support),
                      key=lambda A: A.entries)
     return _judged(report.family.swapped(), report.num_tables, report.rel_dim, support,
-                   max_bits, run_oracle=True, t0=t0)
+                   max_bits, t0)
 
 
 def verify_parity_theorem(
@@ -346,7 +344,7 @@ def verify_parity_theorem(
         raise ParityError(
             f"family ({family.a},{family.m},{family.b}) violates a-m == b mod 2"
         )
-    report = check_family(family, max_tables, max_bits, run_oracle)
+    report = check_family(family, max_tables, max_bits if run_oracle else 0)
     failures = report.failures()
     if failures:
         raise VerificationError("; ".join(failures))

@@ -92,7 +92,7 @@ def check_distribute_matrices() -> None:
             raise VerificationError(f"{name} matrix identity failed")
 
 
-def check_classifier() -> Dict[str, object]:
+def check_classifier() -> None:
     """The structural classifier on the frozen 9x9 table."""
     rep = classify_structure(CLASSIFIER_MATRIX)
     exp = CLASSIFIER_EXPECTED
@@ -104,12 +104,6 @@ def check_classifier() -> Dict[str, object]:
         raise VerificationError(f"j_A {rep.j_A} != {exp['j_A']}")
     if rep.w_seq is None or rep.w_seq.get(5) != exp["w5"]:
         raise VerificationError(f"w^5 {rep.w_seq} != {exp['w5']}")
-    return {
-        "tr_level": rep.tr_level,
-        "k_A": rep.k_A,
-        "j_A": rep.j_A,
-        "w5": list(exp["w5"]),
-    }
 
 
 def run_all() -> Dict[str, str]:

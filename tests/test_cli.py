@@ -88,8 +88,11 @@ def test_rel_dim_needs_some_flags(capsys):
     assert code == 2
 
 
-def test_end_dim(capsys):
-    code, out, _ = run(capsys, ["end-dim", "--lambda", "3,1,1,1"])
+@pytest.mark.parametrize("flags", [
+    ["--lambda", "3,1,1,1"], ["--a", "3", "--m", "2", "--b", "3"],
+], ids=["lambda", "family"])
+def test_end_dim(capsys, flags):
+    code, out, _ = run(capsys, ["end-dim", *flags])
     assert code == 0
     rec = json.loads(out)
     assert rec == {"lambda": [3, 1, 1, 1], "end_dim": 1}
@@ -240,6 +243,41 @@ def test_scan_deterministic_with_cache(tmp_path, capsys):
     assert all(r["end_dim"] == 1 for r in recs)
 
 
+def test_scan_force_recomputes_every_family(tmp_path, capsys):
+    cache = tmp_path / "scan.jsonl"
+    argv = ["scan", "--max-r", "5", "--cache", str(cache)]
+    code, out1, _ = run(capsys, argv)
+    assert code == 0
+    before = cache.read_text()
+    code, out2, _ = run(capsys, argv + ["--force"])
+    assert code == 0
+    assert _unstamped(_lines(out2)) == _unstamped(_lines(out1))
+    text = cache.read_text()
+    assert text.startswith(before)
+    assert _lines(text[len(before):]) == _lines(out2)
+
+
+def test_scan_keeps_the_record_after_a_torn_last_line(tmp_path, capsys):
+    cache = tmp_path / "scan.jsonl"
+    argv = ["scan", "--max-r", "5", "--cache", str(cache)]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    first, last = cache.read_bytes().splitlines(keepends=True)
+    cache.write_bytes(first + last[:len(last) // 2])
+    code, out1, err = run(capsys, argv)
+    assert code == 0
+    assert err.count("corrupt cache line") == 1
+    # the torn line was ended, and the recomputed family has a line of its own
+    text = cache.read_text().splitlines()
+    assert len(text) == 3 and json.loads(text[2]) == _lines(out1)[1]
+    written = cache.read_bytes()
+    code, out2, err = run(capsys, argv)
+    assert code == 0
+    assert out2 == out1
+    # served from the cache, the second rerun appended nothing
+    assert cache.read_bytes() == written
+
+
 def test_scan_parity_mismatch_filter(capsys):
     code, out, _ = run(capsys, ["scan", "--max-r", "4", "--parity", "mismatch"])
     assert code == 0
@@ -357,6 +395,11 @@ def test_selftest_detects_corrupted_z_coefficient(capsys, monkeypatch):
 
 def _lines(text):
     return [json.loads(line) for line in text.strip().splitlines()]
+
+
+def _unstamped(recs):
+    return [{k: v for k, v in r.items() if k not in ("timestamp", "elapsed_ms")}
+            for r in recs]
 
 
 def test_scan_exits_1_when_a_parity_family_fails(tmp_path, capsys, monkeypatch):
@@ -536,19 +579,15 @@ def test_scan_records_equal_check_family(capsys, monkeypatch):
     # on one CPU, which starts no process, prints the same
     argv = ["scan", "--max-r", "12", "--parity", "all", "--max-bits", "4000000"]
 
-    def strip(recs):
-        return [{k: v for k, v in r.items() if k not in ("timestamp", "elapsed_ms")}
-                for r in recs]
-
     _two_cpus(monkeypatch)
     code, out, _ = run(capsys, argv)
     assert code == 0
-    recs = strip(_lines(out))
+    recs = _unstamped(_lines(out))
     fams = partitions.staircase_families(12)
     assert len(recs) == len(fams)
     want = [cli._record(staircase.check_family(f, max_bits=4000000),
                         ",".join(map(str, f.lam.parts)), 4000000) for f in fams]
-    assert recs == strip(want)
+    assert recs == _unstamped(want)
 
     def no_pool(*args):
         raise RuntimeError("scan started a pool on one CPU")
@@ -557,7 +596,7 @@ def test_scan_records_equal_check_family(capsys, monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     code, out1, _ = run(capsys, argv)
     assert code == 0
-    assert strip(_lines(out1)) == recs
+    assert _unstamped(_lines(out1)) == recs
 
 
 def _cli_env():

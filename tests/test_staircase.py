@@ -298,7 +298,7 @@ def test_check_family_judges_without_raising():
     assert not rep.parity
     assert rep.rel_dim == 2 and rep.end_dim == 2
     assert len(rep.failures()) == 4
-    assert check_family(staircase_family(3, 2, 2), run_oracle=False).end_dim is None
+    assert check_family(staircase_family(3, 2, 2), max_bits=0).end_dim is None
 
 
 def test_failures_are_the_one_verdict(monkeypatch):
