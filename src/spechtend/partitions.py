@@ -4,7 +4,8 @@ Margins are validated tuples: Composition and Partition subclass tuple and
 check their parts on construction.  A table is a plain tuple of row tuples.
 `enumerate_tables` returns tables in that form and every function in the
 package takes and returns them; only the support of a solution is handed out
-as TabMatrix records.
+as TabMatrix records.  Tab(alpha, beta) has one enumerator, `SuffixMemo.codes`
+in the integer codes of `table_code`; `enumerate_tables` decodes them.
 
 Row/column indices in the public functions here are 1-based, matching the
 conventions used for serialized matrices.
@@ -12,7 +13,8 @@ conventions used for serialized matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded, DegreeMismatch, InternalError, InvalidParameter
 
@@ -142,24 +144,49 @@ def _row_fillings(n: int, caps: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
             yield (v,) + tail
 
 
+def table_code(alpha: Sequence[int], beta: Sequence[int]) -> Tuple[list, Callable[[int], Table]]:
+    """The weights of the integer code of Tab(alpha, beta), and its decoder:
+    code(T) = sum T[r][c] w[r][c] with w[r][c] = (deg+1) ** (m*n - 1 - (r*n + c))
+    reads an m x n table's row-major entries as digits, so codes ascend in
+    table order.  The decoder shares one tuple per distinct row."""
+    base, m, n = sum(alpha) + 1, len(alpha), len(beta)
+    w = [[base ** (m * n - 1 - (r * n + c)) for c in range(n)] for r in range(m)]
+    unit, rows = base ** n, {}  # rows: {code of one row: the row}, filled as met
+
+    def decode(code: int) -> Table:
+        table = []
+        for _ in range(m):  # the last row is the lowest digit block
+            code, low = divmod(code, unit)
+            row = rows.get(low)
+            if row is None:
+                row = rows[low] = tuple(low // x % base for x in w[-1])
+            table.append(row)
+        return tuple(reversed(table))
+
+    return w, decode
+
+
 class SuffixMemo:
-    """Rows i.. of the tables with row sums `rows` that fill a column room,
-    memoised by (i, room).  `head(i, row)` codes row i: `(row,)` for tables,
-    an int for integer codes, and a suffix is head + tail either way.  Each
-    list is checked against max_tables as it grows, so the cap bounds the
-    work; refusals name `margins`, those of the whole enumeration.
+    """Codes of rows i.. of the tables with row sums `rows` that fill a column
+    room, memoised by (i, room); row i is coded with weights[i].  Each list is
+    checked against max_tables as it grows, so the cap bounds the work;
+    refusals name `margins`, those of the whole enumeration.
     """
 
-    def __init__(self, rows: Sequence[int], head: Callable, max_tables: Optional[int],
-                 margins: Tuple[Tuple[int, ...], Tuple[int, ...]]):
-        self.rows, self.head, self.max_tables, self.margins = tuple(rows), head, max_tables, margins
-        self.memo: Dict[Tuple[int, Tuple[int, ...]], list] = {}
+    def __init__(self, rows: Sequence[int], weights: Sequence[Sequence[int]],
+                 max_tables: Optional[int], margins: Tuple[Sequence[int], Sequence[int]]):
+        self.rows, self.weights, self.max_tables = tuple(rows), weights, max_tables
+        self.margins = tuple(map(tuple, margins))
+        self.memo: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
 
     def check(self, count: int) -> None:
         if self.max_tables is not None and count > self.max_tables:
             raise CapExceeded(f"more than {self.max_tables} tables for %s/%s" % self.margins)
 
-    def suffixes(self, i: int, room: Tuple[int, ...]) -> list:
+    def head(self, i: int, row: Sequence[int]) -> int:
+        return sum(map(mul, row, self.weights[i]))
+
+    def suffixes(self, i: int, room: Tuple[int, ...]) -> List[int]:
         if i == len(self.rows) - 1:
             # margins of equal sum always admit a nonnegative table, so the
             # last row is forced to be what the columns still need
@@ -173,9 +200,9 @@ class SuffixMemo:
                 self.check(len(out))
         return out
 
-    def split(self, room: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], Any, list]]:
-        """(row, head, suffixes of rows 1..) for each filling of row 0, with
-        at least two rows; all the tables count against the cap together."""
+    def split(self, room: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], int, List[int]]]:
+        """(row, its code, suffixes of rows 1..) for each filling of row 0,
+        with at least two rows; all the tables count against the cap together."""
         count = 0
         try:
             for row in _row_fillings(self.rows[0], room):
@@ -186,6 +213,18 @@ class SuffixMemo:
         except RecursionError:
             raise CapExceeded("margins of widths %d and %d exceed the recursion limit"
                               % tuple(map(len, self.margins))) from None
+
+    def codes(self, room: Sequence[int]) -> List[int]:
+        """The codes of every table that fills `room`, ascending under `table_code` weights."""
+        if sum(self.rows) != sum(room):
+            raise DegreeMismatch("deg%s != deg%s" % self.margins)
+        if len(self.rows) < 2:
+            self.check(1)
+            return [self.head(0, room)] if self.rows else [0]
+        out: List[int] = []
+        for _, head, tails in self.split(room):
+            out += [head + tail for tail in tails]
+        return out
 
 
 def enumerate_tables(
@@ -198,17 +237,8 @@ def enumerate_tables(
     More than max_tables tables raise CapExceeded after O(max_tables) work;
     so do margins too long for the recursion limit.
     """
-    alpha, beta = tuple(alpha), tuple(beta)
-    if sum(alpha) != sum(beta):
-        raise DegreeMismatch(f"deg{alpha} != deg{beta}")
-    memo = SuffixMemo(alpha, lambda i, row: (row,), max_tables, (alpha, beta))
-    if len(alpha) < 2:
-        memo.check(1)
-        return [(beta,)] if alpha else [()]
-    out: List[Table] = []
-    for _, head, tails in memo.split(beta):
-        out += [head + tail for tail in tails]
-    return out
+    weights, decode = table_code(alpha, beta)
+    return list(map(decode, SuffixMemo(alpha, weights, max_tables, (alpha, beta)).codes(beta)))
 
 
 def unit_exchange(A: Table, axis: str, i: int, j: int, k: int, l: int) -> Table:

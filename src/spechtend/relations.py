@@ -8,20 +8,19 @@ them, and a row of a RelationSystem is the sorted tuple of the column indices
 (positions in `tables`) whose coefficient is odd.  Only the support of a
 solution is handed out as TabMatrix records.
 
-Rows are built in integer codes: code(T) = sum T[r][c] w[r][c] with
-w[r][c] = (deg+1) ** (m*n - 1 - (r*n + c)) reads an m x n table's row-major
-entries as digits, so codes ascend in table order.  As b_il >= 1 and no entry
-exceeds deg, the exchange B - E_il + E_jl is code(B) + w[j][l] - w[i][l].  A
-block (i, j) is built row i first: per filling of row i, one suffix memo codes
-the other rows.  The C rows use the transposed weights, which code the
-transposed targets directly.  `relation_provenance` re-walks the same coded
-blocks as `relation_system` and decodes only each row's first source.
+Tab(alpha, beta) is enumerated once, in the integer codes of
+`partitions.table_code`, and `RelationSystem.tables` is decoded from them.
+The rows are built in the same codes: as b_il >= 1 and no entry exceeds deg,
+the exchange B - E_il + E_jl is code(B) + w[j][l] - w[i][l].  A block (i, j)
+is built row i first: per filling of row i, one suffix memo codes the other
+rows.  The C rows use the transposed weights, which code the transposed
+targets directly.  `relation_provenance` re-walks the same coded blocks as
+`relation_system` and decodes only each row's first source.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import mul
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidParameter
@@ -33,7 +32,7 @@ from .partitions import (
     SuffixMemo,
     TabMatrix,
     Table,
-    enumerate_tables,
+    table_code,
     transpose,
     transpose_table,
     unit_exchange,
@@ -41,32 +40,6 @@ from .partitions import (
 
 # A built row: the tables with odd coefficient, and the table it was built from.
 BuiltRow = Tuple[Tuple[Table, ...], Table]
-
-
-def _orientations(alpha: Composition, beta: Composition) -> tuple:
-    """The code's weights over Tab(alpha, beta), its decoder, and (a, b, weights)
-    for the R rows, then for the C rows: the R rows of (beta, alpha) under
-    the transposed weights, which code the transposed targets directly."""
-    base, m, n = alpha.degree + 1, alpha.width, beta.width
-    w = [[base ** (m * n - 1 - (r * n + c)) for c in range(n)] for r in range(m)]
-    unit, rows = base ** n, {}  # rows: {code of one row: the row}, filled as met
-
-    def decode(code: int) -> Table:
-        table = []
-        for _ in range(m):  # the last row is the lowest digit block
-            code, low = divmod(code, unit)
-            row = rows.get(low)
-            if row is None:
-                row = rows[low] = tuple(low // x % base for x in w[-1])
-            table.append(row)
-        return tuple(reversed(table))
-
-    return w, decode, ((alpha, beta, w), (beta, alpha, list(zip(*w))))
-
-
-def _coder(weights: Sequence[Sequence[int]]) -> Callable[[int, Tuple[int, ...]], int]:
-    """The SuffixMemo head that codes row i of a table with weights[i]."""
-    return lambda i, row: sum(map(mul, row, weights[i]))
 
 
 def _coded_rows(a: Composition, b: Composition, weights: Sequence[Sequence[int]],
@@ -82,10 +55,10 @@ def _coded_rows(a: Composition, b: Composition, weights: Sequence[Sequence[int]]
         raise InvalidParameter(f"bad (i,j)=({i},{j}) for width {len(a)}")
     if a[j - 1] == 0:
         return
-    shifted, i, j = tuple(a.shifted(i, j, 1)), i - 1, j - 1
+    shifted, i, j = a.shifted(i, j, 1), i - 1, j - 1
     order = [i] + [p for p in range(len(a)) if p != i]
-    memo = SuffixMemo([shifted[p] for p in order], _coder([weights[p] for p in order]),
-                      max_tables, (shifted, tuple(b)))
+    memo = SuffixMemo([shifted[p] for p in order], [weights[p] for p in order],
+                      max_tables, (shifted, b))
     deltas = [wj - wi for wi, wj in zip(weights[i], weights[j])]
     for row, head, tails in memo.split(tuple(b)):
         odd = [d for d, v in zip(deltas, row) if v & 1]
@@ -102,8 +75,8 @@ def _by_source(block: Iterator[tuple], target: Callable) -> list:
 def _decoded_rows(alpha: Composition, beta: Composition, transposed: bool, i: int, j: int,
                   max_tables: Optional[int]) -> List[BuiltRow]:
     """The R or, `transposed`, the C rows of block (i, j) as tables, by source."""
-    _, decode, orientations = _orientations(alpha, beta)
-    a, b, weights = orientations[transposed]
+    w, decode = table_code(alpha, beta)
+    a, b, weights = (beta, alpha, list(zip(*w))) if transposed else (alpha, beta, w)
     rows = _by_source(_coded_rows(a, b, weights, i, j, max_tables), decode)
     return [(targets, decode(source)) for source, targets in rows]
 
@@ -148,13 +121,14 @@ class RelationSystem:
 
 
 def _coded_blocks(alpha: Composition, beta: Composition, max_tables: Optional[int]) -> tuple:
-    """The {code: column} map of Tab(alpha, beta), the decoder of its codes,
-    and its blocks R(i,j) then C(i,j), (i, j) ascending, as (label, the
-    block's _coded_rows); every target is coded as a table of Tab(alpha, beta)."""
-    w, decode, orientations = _orientations(alpha, beta)
-    codes = SuffixMemo(alpha, _coder(w), None, (alpha, beta)).suffixes(0, beta) if alpha else [0]
+    """The {code: column} map of Tab(alpha, beta) under max_tables, the decoder
+    of its codes, and its blocks R(i,j) then C(i,j), (i, j) ascending, as (label,
+    the block's _coded_rows); every target is coded as a table of Tab(alpha, beta)."""
+    w, decode = table_code(alpha, beta)
+    codes = SuffixMemo(alpha, w, max_tables, (alpha, beta)).codes(beta)
+    orientations = (("R", "B", alpha, beta, w), ("C", "D", beta, alpha, list(zip(*w))))
     blocks = ((f"{name}({i},{j}) {source}=", _coded_rows(a, b, weights, i, j, max_tables))
-              for name, source, (a, b, weights) in zip("RC", "BD", orientations)
+              for name, source, a, b, weights in orientations
               for i, j in combinations(range(1, a.width + 1), 2))
     return {code: c for c, code in enumerate(codes)}, decode, blocks  # codes ascend as tables do
 
@@ -166,18 +140,17 @@ def relation_system(
 ) -> RelationSystem:
     """All R and C rows over Tab(alpha, beta) for every admissible i < j.
 
-    The rows are distinct and sorted.  max_tables also caps the shifted
-    enumerations behind every block.
+    The rows are distinct and sorted.  max_tables caps Tab(alpha, beta) and
+    the shifted enumerations behind every block.
     """
-    tables = enumerate_tables(alpha, beta, max_tables=max_tables)
-    col, _, blocks = _coded_blocks(alpha, beta, max_tables)
+    col, decode, blocks = _coded_blocks(alpha, beta, max_tables)
     rows: Set[Tuple[int, ...]] = set()
     for _, block in blocks:
         for head, tails, odd in block:
             # one column list per odd entry; zip pairs them into rows
             rows.update(zip(*[[col[t + e] for t in tails] for e in
                               [head + d for d in odd]]))
-    return RelationSystem(alpha, beta, tables, sorted(rows))
+    return RelationSystem(alpha, beta, list(map(decode, col)), sorted(rows))
 
 
 def relation_provenance(sys: RelationSystem) -> List[str]:

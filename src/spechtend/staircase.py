@@ -233,13 +233,16 @@ def structural_lemma_audit(
 @dataclass
 class VerifyReport:
     family: StaircaseFamily
-    parity: bool
     num_tables: int
     rel_dim: int
     end_dim: Optional[int]
     support: List[TabMatrix]
     audits: Dict[str, str]
     elapsed_ms: int
+
+    @property
+    def parity(self) -> bool:
+        return self.family.parity_ok
 
     @property
     def ok(self) -> bool:
@@ -297,8 +300,7 @@ def _judged(
     if end_dim is not None and end_dim > rel_dim:
         raise InternalError(f"oracle End {end_dim} > Rel {rel_dim} for {family.lam.parts}")
     elapsed = int((time.monotonic() - t0) * 1000)
-    return VerifyReport(family, family.parity_ok, num_tables, rel_dim, end_dim, support,
-                        audits, elapsed)
+    return VerifyReport(family, num_tables, rel_dim, end_dim, support, audits, elapsed)
 
 
 def check_family(

@@ -165,29 +165,34 @@ def hom_solution_space(lam: Partition, adjacent: bool,
     Returns (dim, kernel basis as bit vectors over the canonical table order).
     """
     lam_t = transpose(lam)
-    phis = [(boundary_table(lam_t, "phi", *k), lam_t.shifted(*k))
-            for k in _boundary_indices(lam_t, adjacent)]
-    psis = [(boundary_table(lam, "psi", *k), lam.shifted(*k))
-            for k in _boundary_indices(lam, adjacent)]
     # The budget sizes the dense solve this one replaced, from tabloid
     # dimensions alone: each rho[T], each boundary matrix and a stacked product
     # vector per table.  It stays so that capped records remain comparable.
+    # One rho[T] is checked before anything is built; the next check implies it.
     d_lam, d_lamt = tabloid_dim(lam), tabloid_dim(lam_t)
-    d_phi = [tabloid_dim(mu) for _, mu in phis]
-    d_psi = [tabloid_dim(mu) for _, mu in psis]
+    if d_lam * d_lamt > max_bits:
+        raise CapExceeded(f"oracle for {lam.parts} exceeds the bit budget")
+    phi_k, psi_k = _boundary_indices(lam_t, adjacent), _boundary_indices(lam, adjacent)
+    d_phi = [tabloid_dim(lam_t.shifted(*k)) for k in phi_k]
+    d_psi = [tabloid_dim(lam.shifted(*k)) for k in psi_k]
     if max([d_lam] + d_phi) * d_lamt > max_bits or max(d_psi, default=0) * d_lam > max_bits:
         raise CapExceeded(f"oracle for {lam.parts} exceeds the bit budget")
-    tables = enumerate_tables(lam_t, lam)
-    if (d_lam * sum(d_phi) + d_lamt * sum(d_psi)) * max(1, len(tables)) > max_bits:
-        raise CapExceeded(f"stacked solution system for {lam.parts} exceeds the bit budget")
+    # Tab is never empty: per_table * |Tab| > max_bits iff |Tab| > max_bits // per_table
+    per_table = d_lam * sum(d_phi) + d_lamt * sum(d_psi)
+    try:
+        tables = enumerate_tables(lam_t, lam, max_bits // per_table if per_table else None)
+    except CapExceeded:
+        msg = f"stacked solution system for {lam.parts} exceeds the bit budget"
+        raise CapExceeded(msg) from None
+    phi_x0 = [_apply(boundary_table(lam_t, "phi", *k), [_x0(lam_t.shifted(*k))]) for k in phi_k]
+    psis = [boundary_table(lam, "psi", *k) for k in psi_k]
 
-    phi_x0 = [_apply(P, [_x0(mu)]) for P, mu in phis]
     coords: Dict[Tuple[int, Tabloid], int] = {}
     ech = TaggedEchelon()
     kernel: List[int] = []
     for col, T in enumerate(tables):
         rho_x0 = _apply(T, [_x0(lam_t)])
-        terms = [(T, ys) for ys in phi_x0] + [(P, rho_x0) for P, _ in psis]
+        terms = [(T, ys) for ys in phi_x0] + [(P, rho_x0) for P in psis]
         hit = [coords.setdefault((c, z), len(coords))
                for c, (A, ys) in enumerate(terms) for z in _apply(A, ys)]
         bits = bytearray(len(coords) // 8 + 1)

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from spechtend.errors import CapExceeded, InvalidParameter
+from spechtend import partitions
+from spechtend.errors import CapExceeded, DegreeMismatch, InvalidParameter
 from spechtend.gf2 import Echelon
 from spechtend.limits import DEFAULT_MAX_TABLES
 from spechtend.partitions import (
@@ -206,6 +207,28 @@ def test_shifted_margins_too_deep_are_a_cap():
     alpha, beta = Composition((n,)), Composition((1,) * n)
     assert len(enumerate_tables(alpha, beta)) == 1
     assert_same_refusal(alpha, beta, DEFAULT_MAX_TABLES)
+
+
+def test_relation_system_enumerates_tab_once(monkeypatch):
+    # Tab(alpha, beta) is listed once, in codes, and the tables are decoded
+    # from them; only the shifted blocks build suffix memos of their own
+    alpha, beta = Composition((3, 2, 4)), Composition((6, 2, 1))
+    made = []
+    init = partitions.SuffixMemo.__init__
+
+    def counted(self, *args):
+        made.append(tuple(map(tuple, args[-1])))
+        init(self, *args)
+
+    monkeypatch.setattr(partitions.SuffixMemo, "__init__", counted)
+    sys = relation_system(alpha, beta)
+    assert made.count((alpha.parts, beta.parts)) == 1
+    assert sys.tables == enumerate_tables(alpha, beta)
+
+
+def test_relation_system_refuses_margins_of_unequal_degree():
+    with pytest.raises(DegreeMismatch):
+        relation_system(Composition((2,)), Composition((3,)))
 
 
 def test_relation_system_rows_deduplicated():

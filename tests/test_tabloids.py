@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -308,6 +309,50 @@ def test_end_oracle_cap_checked_before_enumerating(monkeypatch):
     for parts in ((7, 1), (2, 1, 1, 1, 1, 1, 1)):
         with pytest.raises(CapExceeded):
             end_dimension_oracle(Partition(parts), max_bits=4_000_000)
+
+
+def test_end_oracle_refusal_builds_nothing():
+    # (2, 1^200) has 200 boundary tables of 201 x 201 entries; a refusal by
+    # tabloid dimensions must not build them, nor enumerate Tab(lam', lam)
+    lam = Partition((2,) + (1,) * 200)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            end_dimension_oracle(lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_end_oracle_caps_decide_as_the_dense_reference():
+    # the capped Tab(lam', lam) enumeration refuses exactly where the dense
+    # solve's bit count does: every budget at and just below each threshold
+    def refuses(solve, lam, adjacent, max_bits):
+        try:
+            solve(lam, adjacent, max_bits)
+        except CapExceeded:
+            return True
+        return False
+
+    checked = 0
+    for lam in _small_partitions(6):
+        lam_t = transpose(lam)
+        d_lam, d_lamt = tabloid_dim(lam), tabloid_dim(lam_t)
+        for adjacent in (True, False):
+            d_phi = [tabloid_dim(lam_t.shifted(*k))
+                     for k in tabloids._boundary_indices(lam_t, adjacent)]
+            d_psi = [tabloid_dim(lam.shifted(*k))
+                     for k in tabloids._boundary_indices(lam, adjacent)]
+            per_table = d_lam * sum(d_phi) + d_lamt * sum(d_psi)
+            limits = {d_lam * d_lamt, per_table * len(enumerate_tables(lam_t, lam))}
+            limits |= {d * d_lamt for d in d_phi} | {d * d_lam for d in d_psi}
+            for bits in {b + e for b in limits for e in (-1, 0)}:
+                got = refuses(tabloids.hom_solution_space, lam, adjacent, bits)
+                assert got == refuses(hom_solution_space_dense, lam, adjacent, bits), (
+                    lam, adjacent, bits)
+                checked += got
+    assert checked > 100
 
 
 def _small_partitions(max_r):
