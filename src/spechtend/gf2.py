@@ -9,15 +9,17 @@ by structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90).  It
 repeats a pass over the rows until a pass changes nothing: each row is
 rewritten in terms of class representatives (repeated representatives cancel
 mod 2, classes known to be zero drop out), a row of weight 1 sets its class
-to zero, and a row of weight 2 merges two classes in a union-find.  `Echelon`
-then solves the rows that are left over the live classes.  Its basis is the
-canonical one `Echelon.nullspace` gives for the whole system, because the
-live classes are ordered by their highest column.
+to zero, and a row of weight 2 merges two classes in a union-find.  A row
+holds a handful of classes, so its live ones are kept in a list, not a set;
+the result does not depend on their order.  `Echelon` then solves the rows
+that are left over the live classes.  Its basis is the canonical one
+`Echelon.nullspace` gives for the whole system, because the live classes are
+ordered by their highest column.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParameter
 
@@ -166,7 +168,7 @@ def sparse_nullspace(rows: Iterable[Sequence[int]], ncols: int) -> SparseKernel:
         changed = False
         left = []
         for row in rows:
-            live: Set[int] = set()
+            live: List[int] = []
             for c in row:
                 while parent[c] != c:  # find with path halving
                     parent[c] = c = parent[parent[c]]
@@ -174,10 +176,10 @@ def sparse_nullspace(rows: Iterable[Sequence[int]], ncols: int) -> SparseKernel:
                     if c in live:
                         live.remove(c)
                     else:
-                        live.add(c)
+                        live.append(c)
             w = len(live)
             if w == 1:
-                zero[live.pop()] = 1
+                zero[live[0]] = 1
             elif w == 2:
                 x, y = live
                 if size[x] < size[y]:

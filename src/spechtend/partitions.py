@@ -5,7 +5,10 @@ check their parts on construction.  A table is a plain tuple of row tuples.
 `enumerate_tables` returns tables in that form and every function in the
 package takes and returns them; only the support of a solution is handed out
 as TabMatrix records.  Tab(alpha, beta) has one enumerator, `SuffixMemo.codes`
-in the integer codes of `table_code`; `enumerate_tables` decodes them.
+in the integer codes of `table_code`; `enumerate_tables` decodes them.  A
+SuffixMemo reads the fillings of a row from a memo keyed by (row sum, room);
+one relation system shares it among all its suffix memos, so each pair is
+listed once, and stores only the room each filling leaves.
 
 Row/column indices in the public functions here are 1-based, matching the
 conventions used for serialized matrices.
@@ -133,14 +136,23 @@ def _row_fillings(n: int, caps: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
     """Every row v with sum n and 0 <= v[j] <= caps[j], in ascending lex order.
 
     Needs n <= sum(caps); the lower bound on each entry leaves the later
-    entries room for the rest, so no branch is a dead end.
+    entries room for the rest, so no branch is a dead end.  One call lists
+    the fillings of one (n, caps); `_fill` recurses over the entries.
     """
-    if len(caps) <= 1:
+    after, left = [], sum(caps)
+    for c in caps:  # after[j]: what entries j+1.. can hold
+        left -= c
+        after.append(left)
+    return _fill(n, caps, after, 0)
+
+
+def _fill(n: int, caps: Tuple[int, ...], after: List[int], j: int) -> Iterator[Tuple[int, ...]]:
+    """The fillings of entries j.. of `_row_fillings(.., caps)` with sum n."""
+    if j >= len(caps) - 1:
         yield (n,) if caps else ()
         return
-    room = sum(caps) - caps[0]
-    for v in range(max(0, n - room), min(n, caps[0]) + 1):
-        for tail in _row_fillings(n - v, caps[1:]):
+    for v in range(max(0, n - after[j]), min(n, caps[j]) + 1):
+        for tail in _fill(n - v, caps, after, j + 1):
             yield (v,) + tail
 
 
@@ -171,12 +183,19 @@ class SuffixMemo:
     room, memoised by (i, room); row i is coded with weights[i].  Each list is
     checked against max_tables as it grows, so the cap bounds the work;
     refusals name `margins`, those of the whole enumeration.
+
+    A row's fillings come from `fillings`, a memo {(row sum, room): the room
+    each filling leaves, in the fillings' ascending lex order} that may be
+    shared by every memo of one relation system.  A listing enters it only
+    once complete, so a refused enumeration lists no more than it walks.  The
+    code of a filling v of room is code(room) - code(room - v).
     """
 
     def __init__(self, rows: Sequence[int], weights: Sequence[Sequence[int]],
+                 fillings: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[int, ...]]],
                  max_tables: Optional[int], margins: Tuple[Sequence[int], Sequence[int]]):
         self.rows, self.weights, self.max_tables = tuple(rows), weights, max_tables
-        self.margins = tuple(map(tuple, margins))
+        self.fillings, self.margins = fillings, tuple(map(tuple, margins))
         self.memo: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
 
     def check(self, count: int) -> None:
@@ -186,6 +205,18 @@ class SuffixMemo:
     def head(self, i: int, row: Sequence[int]) -> int:
         return sum(map(mul, row, self.weights[i]))
 
+    def rests(self, n: int, room: Tuple[int, ...]) -> Iterable[Tuple[int, ...]]:
+        """room - v for every filling v of a row of sum n, v ascending."""
+        rests = self.fillings.get((n, room))
+        return self._listed(n, room) if rests is None else rests
+
+    def _listed(self, n: int, room: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+        rests = []
+        for row in _row_fillings(n, room):
+            rests.append(tuple([c - v for c, v in zip(room, row)]))
+            yield rests[-1]
+        self.fillings[n, room] = rests
+
     def suffixes(self, i: int, room: Tuple[int, ...]) -> List[int]:
         if i == len(self.rows) - 1:
             # margins of equal sum always admit a nonnegative table, so the
@@ -194,8 +225,9 @@ class SuffixMemo:
         out = self.memo.get((i, room))
         if out is None:
             out = self.memo[i, room] = []
-            for row in _row_fillings(self.rows[i], room):
-                head, rest = self.head(i, row), tuple([c - v for c, v in zip(room, row)])
+            top = self.head(i, room)
+            for rest in self.rests(self.rows[i], room):
+                head = top - self.head(i, rest)
                 out += [head + tail for tail in self.suffixes(i + 1, rest)]
                 self.check(len(out))
         return out
@@ -203,13 +235,13 @@ class SuffixMemo:
     def split(self, room: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], int, List[int]]]:
         """(row, its code, suffixes of rows 1..) for each filling of row 0,
         with at least two rows; all the tables count against the cap together."""
-        count = 0
+        count, top = 0, self.head(0, room)
         try:
-            for row in _row_fillings(self.rows[0], room):
-                tails = self.suffixes(1, tuple([c - v for c, v in zip(room, row)]))
+            for rest in self.rests(self.rows[0], room):
+                tails = self.suffixes(1, rest)
                 count += len(tails)
                 self.check(count)
-                yield row, self.head(0, row), tails
+                yield tuple([c - v for c, v in zip(room, rest)]), top - self.head(0, rest), tails
         except RecursionError:
             raise CapExceeded("margins of widths %d and %d exceed the recursion limit"
                               % tuple(map(len, self.margins))) from None
@@ -238,7 +270,8 @@ def enumerate_tables(
     so do margins too long for the recursion limit.
     """
     weights, decode = table_code(alpha, beta)
-    return list(map(decode, SuffixMemo(alpha, weights, max_tables, (alpha, beta)).codes(beta)))
+    memo = SuffixMemo(alpha, weights, {}, max_tables, (alpha, beta))
+    return list(map(decode, memo.codes(beta)))
 
 
 def unit_exchange(A: Table, axis: str, i: int, j: int, k: int, l: int) -> Table:

@@ -14,13 +14,17 @@ The rows are built in the same codes: as b_il >= 1 and no entry exceeds deg,
 the exchange B - E_il + E_jl is code(B) + w[j][l] - w[i][l].  A block (i, j)
 is built row i first: per filling of row i, one suffix memo codes the other
 rows.  The C rows use the transposed weights, which code the transposed
-targets directly.  `relation_provenance` re-walks the same coded blocks as
+targets directly.  All the suffix memos of one system share one row-fillings
+memo.  `relation_system` lists the rows in build order, sorts them and drops
+repeats, which the sort leaves side by side: each block yields its rows by
+ascending source, so the sort meets long sorted runs, and no hash table of
+the rows is built.  `relation_provenance` re-walks the same coded blocks as
 `relation_system` and decodes only each row's first source.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidParameter
@@ -43,9 +47,10 @@ BuiltRow = Tuple[Tuple[Table, ...], Table]
 
 
 def _coded_rows(a: Composition, b: Composition, weights: Sequence[Sequence[int]],
-                i: int, j: int, max_tables: Optional[int]) -> Iterator[tuple]:
+                i: int, j: int, max_tables: Optional[int], fillings: dict) -> Iterator[tuple]:
     """The R(i,j) rows of (a, b) in codes, i < j 1-based: (head, tails, deltas)
-    per filling of row i in Tab(a^(i,j,1), b) with an odd entry.
+    per filling of row i in Tab(a^(i,j,1), b) with an odd entry; `fillings`
+    is the row-fillings memo the suffix memo reads (see SuffixMemo).
 
     A source B = head + t, t in tails, has the row {B + d : d in deltas}.
     The deltas ascend, so a row's targets and columns do too.  Fillings with
@@ -58,7 +63,7 @@ def _coded_rows(a: Composition, b: Composition, weights: Sequence[Sequence[int]]
     shifted, i, j = a.shifted(i, j, 1), i - 1, j - 1
     order = [i] + [p for p in range(len(a)) if p != i]
     memo = SuffixMemo([shifted[p] for p in order], [weights[p] for p in order],
-                      max_tables, (shifted, b))
+                      fillings, max_tables, (shifted, b))
     deltas = [wj - wi for wi, wj in zip(weights[i], weights[j])]
     for row, head, tails in memo.split(tuple(b)):
         odd = [d for d, v in zip(deltas, row) if v & 1]
@@ -77,7 +82,7 @@ def _decoded_rows(alpha: Composition, beta: Composition, transposed: bool, i: in
     """The R or, `transposed`, the C rows of block (i, j) as tables, by source."""
     w, decode = table_code(alpha, beta)
     a, b, weights = (beta, alpha, list(zip(*w))) if transposed else (alpha, beta, w)
-    rows = _by_source(_coded_rows(a, b, weights, i, j, max_tables), decode)
+    rows = _by_source(_coded_rows(a, b, weights, i, j, max_tables, {}), decode)
     return [(targets, decode(source)) for source, targets in rows]
 
 
@@ -123,11 +128,15 @@ class RelationSystem:
 def _coded_blocks(alpha: Composition, beta: Composition, max_tables: Optional[int]) -> tuple:
     """The {code: column} map of Tab(alpha, beta) under max_tables, the decoder
     of its codes, and its blocks R(i,j) then C(i,j), (i, j) ascending, as (label,
-    the block's _coded_rows); every target is coded as a table of Tab(alpha, beta)."""
+    the block's _coded_rows); every target is coded as a table of Tab(alpha, beta).
+    All their suffix memos share one row-fillings memo, so each (row sum, room)
+    has its fillings listed once."""
     w, decode = table_code(alpha, beta)
-    codes = SuffixMemo(alpha, w, max_tables, (alpha, beta)).codes(beta)
+    fillings: dict = {}
+    codes = SuffixMemo(alpha, w, fillings, max_tables, (alpha, beta)).codes(beta)
     orientations = (("R", "B", alpha, beta, w), ("C", "D", beta, alpha, list(zip(*w))))
-    blocks = ((f"{name}({i},{j}) {source}=", _coded_rows(a, b, weights, i, j, max_tables))
+    blocks = ((f"{name}({i},{j}) {source}=",
+               _coded_rows(a, b, weights, i, j, max_tables, fillings))
               for name, source, a, b, weights in orientations
               for i, j in combinations(range(1, a.width + 1), 2))
     return {code: c for c, code in enumerate(codes)}, decode, blocks  # codes ascend as tables do
@@ -144,13 +153,15 @@ def relation_system(
     the shifted enumerations behind every block.
     """
     col, decode, blocks = _coded_blocks(alpha, beta, max_tables)
-    rows: Set[Tuple[int, ...]] = set()
+    rows: List[Tuple[int, ...]] = []
     for _, block in blocks:
         for head, tails, odd in block:
             # one column list per odd entry; zip pairs them into rows
-            rows.update(zip(*[[col[t + e] for t in tails] for e in
-                              [head + d for d in odd]]))
-    return RelationSystem(alpha, beta, list(map(decode, col)), sorted(rows))
+            rows += zip(*[[col[t + e] for t in tails] for e in [head + d for d in odd]])
+    # each block's rows come by ascending source, so the sort meets long
+    # sorted runs, and it leaves repeats side by side
+    rows.sort()
+    return RelationSystem(alpha, beta, list(map(decode, col)), [r for r, _ in groupby(rows)])
 
 
 def relation_provenance(sys: RelationSystem) -> List[str]:

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,3 +49,25 @@ def test_benchmark_workloads_run_on_small_inputs(worker, tmp_path):
     argv = ["scan", "--max-r", "5", "--parity", "all", "--cache", str(tmp_path / "scan.jsonl")]
     scan = worker.scan_outputs(mods, argv, worker.scan_run(mods, argv))
     assert (scan["exit_code"], scan["records_out"], len(scan["cached"])) == (0, 6, 6)
+
+
+def test_flat_workload_outputs_do_not_depend_on_hash_order():
+    # the benchmark sets PYTHONHASHSEED from its seed; the flat-m5 outputs
+    # must match the reference under any seed (two children, about 1.5 s)
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    ref = json.loads((ROOT / "perfbench" / "reference.json").read_text())["flat-m5"]
+    cmd = [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", "flat-m5"]
+    children = [subprocess.Popen(cmd, cwd=ROOT, env=dict(os.environ, PYTHONHASHSEED=seed),
+                                 stdout=subprocess.PIPE, text=True)
+                for seed in ("23", "4242")]
+    try:
+        for child in children:
+            out = child.communicate(timeout=120)[0]
+            assert child.returncode == 0
+            assert run.check(json.loads(out.strip().splitlines()[-1])["outputs"], ref) == 0
+    finally:
+        for child in children:
+            child.kill()
+            child.wait()

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -224,6 +225,39 @@ def test_relation_system_enumerates_tab_once(monkeypatch):
     sys = relation_system(alpha, beta)
     assert made.count((alpha.parts, beta.parts)) == 1
     assert sys.tables == enumerate_tables(alpha, beta)
+
+
+def test_relation_system_lists_each_row_filling_once(monkeypatch):
+    # the Tab(alpha, beta) memo and every block's memo share one row-fillings
+    # memo, so no (row sum, room) pair is listed twice in one system
+    fam = staircase_family(4, 4, 3)
+    listed = []
+    fillings = partitions._row_fillings
+
+    def counted(n, caps):
+        listed.append((n, tuple(caps)))
+        return fillings(n, caps)
+
+    monkeypatch.setattr(partitions, "_row_fillings", counted)
+    sys = relation_system(fam.alpha, fam.beta)
+    assert fam.r == 12 and len(listed) > 100
+    assert len(set(listed)) == len(listed)
+    monkeypatch.undo()
+    assert (sys.tables, sys.rows) == relation_system_tuple(fam.alpha, fam.beta)
+
+
+def test_relation_system_cap_bounds_the_work():
+    # as for enumerate_tables: Tab((9,9), 1^18) has 48,620 first-row
+    # fillings, and a refusal must not list them first
+    alpha, beta = Composition((9, 9)), Composition((1,) * 18)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            relation_system(alpha, beta, max_tables=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_relation_system_refuses_margins_of_unequal_degree():
