@@ -101,6 +101,7 @@ def cmd_rel_dim(args) -> int:
         "num_rows": len(sysm.rows),
         "rank": rel.rank,
         "residual_rows": rel.residual_rows,
+        "residual_cols": rel.residual_cols,
         "support": support,
         "support_digest": _support_digest(support),
     }
@@ -204,13 +205,12 @@ def _swap_tasks(todo: List[Tuple[int, StaircaseFamily]]) -> List[tuple]:
 def _run_task(task: tuple, max_tables: int, max_bits: int) -> List[tuple]:
     """(index, report) per family of a swap-pair task; a family that raises
     ends the task as (index, the exception).  The first family's flat system
-    is solved and its partner's report built from that solve, so a first
+    and oracle are run and its partner's report built from them, so a first
     family that raises leaves its partner unrun."""
     out: List[tuple] = []
     try:
         for i, fam in task:
-            report = check_swapped(report, max_bits) if out else check_family(
-                fam, max_tables, max_bits)
+            report = check_swapped(report) if out else check_family(fam, max_tables, max_bits)
             out.append((i, report))
     except Exception as exc:
         out.append((i, exc))

@@ -24,7 +24,7 @@ from .relations import (
     transpose_hom,
 )
 from .staircase import flat_relevance_system
-from .tabloids import boundary_table, hom_solution_space, maps_agree
+from .tabloids import boundary_table, end_dimension_oracle, hom_solution_space, maps_agree
 
 
 def _partitions_of(r: int) -> List[Partition]:
@@ -102,7 +102,8 @@ def check_composition_closed_form(max_r: int = 5) -> None:
 
 
 def check_eta_duality(max_r: int = 5) -> None:
-    """dim Rel(lam) == dim Rel(lam'), with transpose_hom an isomorphism."""
+    """dim Rel(lam) == dim Rel(lam'), with transpose_hom an isomorphism, and
+    dim End(lam) == dim End(lam'), which `check_swapped` relies on."""
     for lam in all_partitions(max_r):
         lam_t = transpose(lam)
         sys_a = relevance_system(lam)
@@ -110,6 +111,8 @@ def check_eta_duality(max_r: int = 5) -> None:
         ra, rb = solve_relevance(sys_a), solve_relevance(sys_b)
         if ra.dim != rb.dim:
             raise AssertionError(f"duality dim mismatch for {lam.parts}")
+        if end_dimension_oracle(lam) != end_dimension_oracle(lam_t):
+            raise AssertionError(f"duality End mismatch for {lam.parts}")
         for v in ra.basis:
             w = transpose_hom(v, sys_a.tables, sys_b.tables)
             if any(sum(w >> c & 1 for c in row) & 1 for row in sys_b.rows):

@@ -6,7 +6,8 @@ margins alpha = (a', m-1, ..., 2, b') and beta = (a, m-1, ..., 2, b).  This
 module builds that flat system, expands flat tables back to full ones, runs
 the structural classifiers on flat tables, and checks families: `check_family`
 computes a report, `check_swapped` derives the swapped family's report from
-its flat solve, and `VerifyReport.failures` alone judges the parity theorem.
+it, flat solve and oracle alike, and `VerifyReport.failures` alone judges the
+parity theorem.
 Every function here takes and returns plain tables, tuples of row tuples;
 only the support in a report and the predicted `theorem_matrix` are
 TabMatrix records.
@@ -14,7 +15,7 @@ TabMatrix records.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from .errors import CapExceeded, InternalError, InvalidParameter, ParityError, VerificationError
@@ -281,28 +282,6 @@ class VerifyReport:
         }
 
 
-def _judged(
-    family: StaircaseFamily,
-    num_tables: int,
-    rel_dim: int,
-    support: List[TabMatrix],
-    max_bits: int,
-    t0: float,
-) -> VerifyReport:
-    """The report of a family whose flat system is solved: run the oracle
-    (end_dim None when capped) and audit the support; elapsed_ms runs from t0."""
-    end_dim: Optional[int] = None
-    try:
-        end_dim = end_dimension_oracle(family.lam, max_bits)
-    except CapExceeded:
-        pass
-    audits = structural_lemma_audit(family, support)
-    if end_dim is not None and end_dim > rel_dim:
-        raise InternalError(f"oracle End {end_dim} > Rel {rel_dim} for {family.lam.parts}")
-    elapsed = int((time.monotonic() - t0) * 1000)
-    return VerifyReport(family, num_tables, rel_dim, end_dim, support, audits, elapsed)
-
-
 def check_family(
     family: StaircaseFamily,
     max_tables: int = DEFAULT_MAX_TABLES,
@@ -316,23 +295,39 @@ def check_family(
     sys = flat_relevance_system(family, max_tables)
     rel = solve_relevance(sys)
     support = sorted(rel.support, key=lambda A: A.entries)
-    return _judged(family, len(sys.tables), rel.dim, support, max_bits, t0)
+    end_dim: Optional[int] = None
+    try:
+        end_dim = end_dimension_oracle(family.lam, max_bits)
+    except CapExceeded:
+        pass
+    audits = structural_lemma_audit(family, support)
+    if end_dim is not None and end_dim > rel.dim:
+        raise InternalError(f"oracle End {end_dim} > Rel {rel.dim} for {family.lam.parts}")
+    elapsed = int((time.monotonic() - t0) * 1000)
+    return VerifyReport(family, len(sys.tables), rel.dim, end_dim, support, audits, elapsed)
 
 
-def check_swapped(report: VerifyReport, max_bits: int = DEFAULT_MAX_BITS) -> VerifyReport:
-    """check_family of the swapped family (a', m, b'), from report's flat solve.
+def check_swapped(report: VerifyReport) -> VerifyReport:
+    """check_family of the swapped family (a', m, b'), from report alone.
 
-    The flat system of (a', m, b') is that of (a, m, b) with every table
-    transposed, so it has as many tables, the same relevance dimension, and
-    report's support transposed entry by entry.  The oracle, the audits and
-    the verdict are the swapped family's own, and its elapsed_ms leaves out
-    the shared solve.
+    Transposing every table maps the flat system of (a, m, b) onto that of
+    (a', m, b'), and the oracle's condition system for lam onto the one for
+    lam' (rho[T]^T = rho[T^T], and the phi-bar table transposes to the
+    psi-bar table), with the same --max-bits terms on either side.  So the
+    swapped report keeps num_tables, rel_dim and end_dim, and takes report's
+    support transposed entry by entry.  The audits and the verdict are the
+    swapped family's own, and its elapsed_ms leaves out the shared solve and
+    oracle.  Only a refusal through the recursion limit can differ between
+    lam and lam', and it needs about 1,000 parts, where d_lam * d_lam'
+    already exceeds any practical budget.
     """
     t0 = time.monotonic()
+    family = report.family.swapped()
     support = sorted((TabMatrix(transpose_table(A.entries)) for A in report.support),
                      key=lambda A: A.entries)
-    return _judged(report.family.swapped(), report.num_tables, report.rel_dim, support,
-                   max_bits, t0)
+    audits = structural_lemma_audit(family, support)
+    return replace(report, family=family, support=support, audits=audits,
+                   elapsed_ms=int((time.monotonic() - t0) * 1000))
 
 
 def verify_parity_theorem(

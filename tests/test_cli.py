@@ -81,6 +81,17 @@ def test_rel_dim_family_flags(capsys):
     assert rec["support"] == [[[1, 3], [2, 0]]]
 
 
+def test_rel_dim_reports_residual_cols(capsys):
+    # the live classes the sparse passes leave to the echelon solve: with no
+    # row left each one is free, and (4,3,3,1) leaves 60 rows of rank 2 on 10
+    for flags, want in [(["--a", "3", "--m", "2", "--b", "3"], (0, 1, 1)),
+                        (["--lambda", "4,3,3,1"], (60, 10, 8))]:
+        code, out, _ = run(capsys, ["rel-dim"] + flags)
+        assert code == 0
+        rec = json.loads(out)
+        assert (rec["residual_rows"], rec["residual_cols"], rec["rel_dim"]) == want
+
+
 def test_rel_dim_needs_some_flags(capsys):
     code, _, err = run(capsys, ["rel-dim"])
     assert code == 2
@@ -597,6 +608,29 @@ def test_scan_records_equal_check_family(capsys, monkeypatch):
     code, out1, _ = run(capsys, argv)
     assert code == 0
     assert _unstamped(_lines(out1)) == recs
+
+
+def test_scan_runs_the_oracle_once_per_task(capsys, monkeypatch):
+    # the second family of a swap pair takes its partner's oracle result, so
+    # each task runs the oracle once, for its first family; that the shared
+    # end_dim is the family's own, test_scan_records_equal_check_family shows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    calls = []
+    original = staircase.end_dimension_oracle
+
+    def counted(lam, max_bits):
+        calls.append(lam.parts)
+        return original(lam, max_bits)
+
+    monkeypatch.setattr(staircase, "end_dimension_oracle", counted)
+    code, out, _ = run(capsys, ["scan", "--max-r", "10", "--parity", "all",
+                                "--max-bits", "4000000"])
+    assert code == 0
+    fams = partitions.staircase_families(10)
+    assert len(_lines(out)) == len(fams)
+    tasks = cli._swap_tasks(list(enumerate(fams)))
+    assert len(tasks) < len(fams)
+    assert calls == [task[0][1].lam.parts for task in tasks]
 
 
 def _cli_env():

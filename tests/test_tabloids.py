@@ -355,6 +355,39 @@ def test_end_oracle_caps_decide_as_the_dense_reference():
     assert checked > 100
 
 
+def test_oracle_refuses_lam_and_its_transpose_alike():
+    # scan gives lam' the oracle result of lam, so the budget must refuse both
+    # or neither: at and just below each refusal threshold of either side, the
+    # thresholds of test_end_oracle_caps_decide_as_the_dense_reference
+    def thresholds(lam, adjacent):
+        lam_t = transpose(lam)
+        d_lam, d_lamt = tabloid_dim(lam), tabloid_dim(lam_t)
+        d_phi = [tabloid_dim(lam_t.shifted(*k))
+                 for k in tabloids._boundary_indices(lam_t, adjacent)]
+        d_psi = [tabloid_dim(lam.shifted(*k))
+                 for k in tabloids._boundary_indices(lam, adjacent)]
+        per_table = d_lam * sum(d_phi) + d_lamt * sum(d_psi)
+        limits = {d_lam * d_lamt, per_table * len(enumerate_tables(lam_t, lam))}
+        return limits | {d * d_lamt for d in d_phi} | {d * d_lam for d in d_psi}
+
+    def dim(lam, adjacent, max_bits):
+        try:
+            return tabloids.hom_solution_space(lam, adjacent, max_bits)[0]
+        except CapExceeded:
+            return None
+
+    refused = 0
+    for lam in _small_partitions(6):
+        lam_t = transpose(lam)
+        for adjacent in (True, False):
+            limits = thresholds(lam, adjacent) | thresholds(lam_t, adjacent)
+            for bits in {b + e for b in limits for e in (-1, 0)}:
+                got = dim(lam, adjacent, bits)
+                assert got == dim(lam_t, adjacent, bits), (lam, adjacent, bits)
+                refused += got is None
+    assert refused > 100
+
+
 def _small_partitions(max_r):
     return [Partition(p) for r in range(1, max_r + 1) for p in partitions_of(r)]
 
